@@ -16,6 +16,7 @@ document with a different version are rejected with
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from repro.core.encoding import EncodedConcept, Interval, IntervalEncoder
@@ -131,6 +132,14 @@ class CodeTable:
         self._codes: dict[str, ConceptCode] = {
             uri: ConceptCode.from_encoded(enc) for uri, enc in encoded.items()
         }
+        self._init_memos()
+
+    def _init_memos(self) -> None:
+        # Derived from _codes on first use, never at load (see subsumers
+        # and resolve_annotations).
+        self._wire: dict[str, str] = {}
+        self._spans: list[tuple[float, float, str, ConceptCode]] | None = None
+        self._span_los: list[float] = []
 
     # ------------------------------------------------------------------
     # Lookup
@@ -168,6 +177,33 @@ class CodeTable:
             return None
         return self.code(over).distance_to(self.code(under))
 
+    def subsumers(self, concept_uri: str) -> dict[str, int]:
+        """``{over: d(over, concept)}`` for every table concept whose code
+        subsumes ``concept_uri``'s (itself included); empty for a concept
+        the table lacks.
+
+        Candidates are the codes whose span (first interval's low end to
+        last interval's high end) contains the concept's tree interval, a
+        sound superset since code intervals are sorted; each is confirmed
+        with :meth:`ConceptCode.distance_to`.
+        """
+        target = self._codes.get(concept_uri)
+        if target is None:
+            return {}
+        if self._spans is None:
+            self._spans = sorted(
+                (code.code[0][0], code.code[-1][1], uri, code)
+                for uri, code in self._codes.items()
+                if code.code
+            )
+            self._span_los = [span[0] for span in self._spans]
+        lo, hi = target.tree_lo, target.tree_hi
+        return {
+            uri: distance
+            for _lo, span_hi, uri, code in self._spans[: bisect_right(self._span_los, lo)]
+            if hi <= span_hi and (distance := code.distance_to(target)) is not None
+        }
+
     # ------------------------------------------------------------------
     # Document annotation (§3.2: advertisements/requests carry codes)
     # ------------------------------------------------------------------
@@ -204,7 +240,22 @@ class CodeTable:
             raise StaleCodesError(
                 f"document codes have version {version}, table is at {self.version}"
             )
-        return {uri: ConceptCode.deserialize(uri, data) for uri, data in codes.items()}
+        resolved: dict[str, ConceptCode] = {}
+        for uri, data in codes.items():
+            if data == self._serialized(uri):
+                # Serialized exactly like the table's own code, so it would
+                # parse to an equal one: hand out the table's object.
+                resolved[uri] = self._codes[uri]
+            else:
+                resolved[uri] = ConceptCode.deserialize(uri, data)
+        return resolved
+
+    def _serialized(self, concept_uri: str) -> str | None:
+        """The wire form of ``concept_uri``'s code (memoized), or ``None``."""
+        data = self._wire.get(concept_uri)
+        if data is None and concept_uri in self._codes:
+            data = self._wire[concept_uri] = self._codes[concept_uri].serialize()
+        return data
 
     # ------------------------------------------------------------------
     # Snapshot distribution (newly elected directories need the codes but
@@ -245,6 +296,7 @@ class CodeTable:
         table.taxonomy = None
         table._encoder = None
         table._codes = {}
+        table._init_memos()
         for el in root:
             if el.tag != "Code":
                 raise ValueError(f"unexpected element <{el.tag}> in <CodeTable>")

@@ -55,10 +55,14 @@ from repro.util.cache import MISS, DistanceCache
 class MatcherStats:
     """Counters: how many capability matches / concept comparisons ran.
 
-    ``cache_hits``/``cache_misses`` count shared distance-cache probes
-    (:class:`repro.util.cache.DistanceCache`); their sum is at most
-    ``concept_comparisons`` (pairs involving document-embedded codes
-    bypass the shared cache).
+    ``concept_comparisons`` counts concept pairs resolved, by a distance
+    computation or cache probe on the per-pair path or by a subsumer-map
+    probe in :class:`CodeMatcher`'s kernel.  ``cache_hits``/``cache_misses``
+    count fetches from the shared :class:`repro.util.cache.DistanceCache`:
+    a pair on the per-pair path (pairs involving document-embedded codes
+    bypass it), or a whole subsumer map when the kernel compiles a
+    requested capability.  A map fetch answers many later comparisons, so
+    the sum is no longer bounded by ``concept_comparisons``.
     """
 
     capability_matches: int = 0
@@ -236,18 +240,38 @@ class TaxonomyMatcher(Matcher):
 class CodeMatcher(Matcher):
     """``d`` backed by interval codes: pure numeric comparison (§3.2).
 
+    With a shared cache, :meth:`match` and :meth:`semantic_distance` run a
+    *subsumer-map kernel*.  Each requested capability is compiled once per
+    matcher into one subsumer map per requested concept
+    (:meth:`repro.core.codes.CodeTable.subsumers`), its input maps merged
+    into ``{over: min over requested inputs of d(over, input)}`` from its
+    second match on.  A capability match then costs ``|P.in| +
+    |R.out|·|P.out| + |R.prop|·|P.prop|`` dict probes and no interval
+    search.  The maps are the cache's entries, one per concept, built on
+    first use and reused by every later matcher until the table version
+    changes.
+
+    The per-pair evaluation (:meth:`Matcher.match_outcome`, the oracle the
+    kernel must agree with) answers everything else: pairings and degrees,
+    matchers without a cache, and matchers holding embedded codes the
+    table cannot stand in for.
+
     Args:
         table: the directory's code table (used for concepts not covered by
             ``extra_codes``).
         extra_codes: codes embedded in a received document, already
             validated against the table version via
             :meth:`repro.core.codes.CodeTable.resolve_annotations`; lets a
-            directory match concepts it has not locally encoded.
+            directory match concepts it has not locally encoded.  Codes
+            equal to the table's own are redundant at the same version and
+            dropped, so ordinary annotated documents take the kernel.  Any
+            other embedded code (a concept the table lacks, or a different
+            code) switches this matcher to per-pair evaluation, and pairs
+            touching it skip the cache (it shadows the table for this
+            document only, so its results are not globally reusable).
         cache: shared :class:`~repro.util.cache.DistanceCache` owned by the
-            directory; pairs resolved purely from ``table`` are memoized
-            across matcher instances.  Pairs touching ``extra_codes`` skip
-            the cache (extras shadow the table per document, so their
-            results are not globally reusable).
+            directory: it holds the kernel's subsumer maps and the
+            per-pair path's table-only distances, across matcher instances.
         stats: shared counter object (see :class:`Matcher`).
     """
 
@@ -263,7 +287,17 @@ class CodeMatcher(Matcher):
             raise ValueError("CodeMatcher needs a code table and/or embedded codes")
         self._table = table
         self._extra = extra_codes or {}
+        if table is not None and self._extra:
+            # resolve_annotations hands out the table's own object for an
+            # unchanged code, so the identity test settles the common case.
+            self._extra = {
+                uri: code
+                for uri, code in self._extra.items()
+                if uri not in table or ((own := table.code(uri)) is not code and own != code)
+            }
         self._cache = cache
+        self._kernel = cache is not None and table is not None and not self._extra
+        self._compiled: dict[int, _CompiledRequest] = {}
 
     def lookup(self, concept: str) -> ConceptCode | None:
         """The code this matcher uses for ``concept`` (embedded codes
@@ -300,3 +334,113 @@ class CodeMatcher(Matcher):
         distance = self._compute_distance(over, under)
         cache.store(over, under, distance)
         return distance
+
+    # -- subsumer-map kernel ----------------------------------------------
+    def match(self, provided: Capability, requested: Capability) -> bool:
+        """The relation ``Match(provided, requested)``."""
+        if self._kernel:
+            return self._kernel_distance(provided, requested) is not None
+        return super().match(provided, requested)
+
+    def semantic_distance(self, provided: Capability, requested: Capability) -> int | None:
+        """``SemanticDistance(provided, requested)``; ``None`` if no match."""
+        if self._kernel:
+            return self._kernel_distance(provided, requested)
+        return super().semantic_distance(provided, requested)
+
+    def _subsumers(self, concept: str) -> dict[str, int]:
+        cache = self._cache
+        found = cache.get(concept, MISS)
+        if found is not MISS:
+            self.stats.cache_hits += 1
+            return found
+        self.stats.cache_misses += 1
+        found = self._table.subsumers(concept)
+        cache.put(concept, found)
+        return found
+
+    def _kernel_distance(self, provided: Capability, requested: Capability) -> int | None:
+        stats = self.stats
+        stats.capability_matches += 1
+        compiled = self._compiled.get(id(requested))
+        if compiled is None:
+            compiled = _CompiledRequest(requested, self._subsumers)
+            self._compiled[id(requested)] = compiled
+            input_maps = compiled.input_maps
+        else:
+            input_maps = compiled.merged or compiled.merge_inputs()
+        total = 0
+        probes = 0
+        for concept in provided.inputs:
+            probes += len(input_maps)
+            best = None
+            for subsumers in input_maps:
+                distance = subsumers.get(concept)
+                if distance is not None and (best is None or distance < best):
+                    best = distance
+            if best is None:
+                stats.concept_comparisons += probes
+                return None
+            total += best
+        outputs, properties = compiled.rest(self._subsumers)
+        for wanted, offered in ((outputs, provided.outputs), (properties, provided.properties)):
+            for subsumers in wanted:
+                probes += len(offered)
+                best = None
+                for concept in offered:
+                    distance = subsumers.get(concept)
+                    if distance is not None and (best is None or distance < best):
+                        best = distance
+                if best is None:
+                    stats.concept_comparisons += probes
+                    return None
+                total += best
+        stats.concept_comparisons += probes
+        return total
+
+
+class _CompiledRequest:
+    """A requested capability in the kernel's form (see :class:`CodeMatcher`).
+
+    Holds one subsumer map per requested concept, fetched lazily: the
+    input maps first, the output and property maps once some provided
+    capability's inputs pass.  The input maps are merged into ``{over:
+    min distance}`` on the capability's second match: a capability matched
+    once (most requested sides during DAG insertion) is cheaper to probe
+    map by map than to merge.
+    """
+
+    __slots__ = ("requested", "input_maps", "merged", "_rest")
+
+    def __init__(self, requested: Capability, fetch) -> None:
+        # Holding the capability keeps its id from being reused while the
+        # owning matcher lives.
+        self.requested = requested
+        self.input_maps = [fetch(concept) for concept in requested.inputs]
+        #: ``[merged input map]`` once :meth:`merge_inputs` ran, else None.
+        self.merged: list[dict[str, int]] | None = None
+        self._rest: tuple[list[dict[str, int]], list[dict[str, int]]] | None = None
+
+    def merge_inputs(self) -> list[dict[str, int]]:
+        """Merge the input maps into one; returns :attr:`merged`."""
+        if len(self.input_maps) == 1:
+            self.merged = self.input_maps
+        else:
+            merged: dict[str, int] = {}
+            for subsumers in self.input_maps:
+                for over, distance in subsumers.items():
+                    best = merged.get(over)
+                    if best is None or distance < best:
+                        merged[over] = distance
+            self.merged = [merged]
+        return self.merged
+
+    def rest(self, fetch) -> tuple[list[dict[str, int]], list[dict[str, int]]]:
+        """The output maps and the property maps."""
+        if self._rest is None:
+            requested = self.requested
+            self._rest = (
+                [fetch(concept) for concept in requested.outputs],
+                [fetch(concept) for concept in requested.properties],
+            )
+        return self._rest

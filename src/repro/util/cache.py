@@ -4,9 +4,10 @@ The §3.2 optimization replaces reasoning with numeric interval
 comparisons, but a busy directory still recomputes the same
 ``d(over, under)`` pairs on every request: each query builds a fresh
 matcher, and popular concepts (categories, common outputs) recur across
-the whole workload.  :class:`DistanceCache` memoizes those pairs *across*
+the whole workload.  :class:`DistanceCache` memoizes them *across*
 queries, publications and DAG insertions, owned by the directory and
-shared by every matcher it creates.
+shared by every matcher it creates: one subsumer map per concept for the
+matching kernel, single pairs for the per-pair oracle.
 
 Correctness hinges on the paper's code versioning (§3.2): a concept's
 interval code is a pure function of the code-table snapshot, so a cached
@@ -27,8 +28,9 @@ from typing import Hashable
 #: Sentinel distinguishing "cached None" (no subsumption) from "not cached".
 _ABSENT = object()
 
-#: Default pair capacity; ~100k pairs is a few MiB and covers the full
-#: cross product of a 300-concept suite.
+#: Default capacity in entries; ~100k pairs is a few MiB and covers the
+#: full cross product of a 300-concept suite, while the kernel's subsumer
+#: maps take one entry per concept.
 DEFAULT_MAXSIZE = 131072
 
 
@@ -135,9 +137,19 @@ class VersionedLruCache:
 class DistanceCache(VersionedLruCache):
     """Concept-distance memo shared across a directory's matchers.
 
-    Keys are ``(over, under)`` concept-URI pairs; values are the §2.3
-    ``d(over, under)`` result (``int`` levels, or ``None`` for "does not
-    subsume" — also worth caching, since failed probes dominate matching).
+    Two kinds of entry share one LRU and one version key:
+
+    * **subsumer maps** (what the matching kernel reads, through
+      :meth:`get`/:meth:`put`): keyed by a concept URI, the value is
+      ``{over: d(over, concept)}`` for every table concept whose code
+      subsumes it (:meth:`repro.core.codes.CodeTable.subsumers`).  One
+      entry answers every pair with that concept on the subsumed side,
+      so a catalog of N concepts needs N entries, not N² pairs;
+    * **pairs** (the per-pair oracle's memo, through :meth:`lookup` /
+      :meth:`store`): keyed by an ``(over, under)`` tuple, the value is
+      the §2.3 ``d(over, under)`` result (``int`` levels, or ``None`` for
+      "does not subsume" — also worth caching, since failed probes
+      dominate matching).
     """
 
     def lookup(self, over: str, under: str):

@@ -2,12 +2,16 @@
 paper's worked example (Fig. 1, total distance 3) and the transitivity
 property the capability DAG relies on."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.codes import ConceptCode
 from repro.core.matching import CodeMatcher, TaxonomyMatcher
 from repro.services.profile import Capability
+from repro.util.cache import DistanceCache
 
 NS = "http://repro.example.org/media"
 
@@ -214,3 +218,127 @@ class TestCodeMatcherConstruction:
         provided = Capability.build("urn:x:p", "P", outputs=[r("Stream")])
         requested = Capability.build("urn:x:q", "Q", outputs=[r("Stream")])
         assert matcher.match(provided, requested)
+
+
+UNKNOWN = "http://nowhere.org/o#Unencoded"
+
+
+def _near(data, taxonomy, pool: list[str], anchors) -> str:
+    """A concept from ``pool``, or one related to an anchor (itself, an
+    ancestor or a child), so that subsumption is common in the draws."""
+    if anchors and data.draw(st.booleans()):
+        anchor = data.draw(st.sampled_from(sorted(anchors)))
+        if anchor not in taxonomy:
+            return anchor
+        related = taxonomy.ancestors(anchor) | taxonomy.children(anchor) | {anchor}
+        return data.draw(st.sampled_from(sorted(related)))
+    return data.draw(st.sampled_from(pool))
+
+
+def _capability(data, taxonomy, pool: list[str], uri: str, like=None) -> Capability:
+    """A random capability; with ``like``, its concepts lean toward that
+    capability's (and each field's earlier draws, so that one concept can
+    subsume several requested inputs at different distances)."""
+    fields = {}
+    for field, most in (("inputs", 4), ("outputs", 3), ("properties", 2)):
+        concepts: list[str] = []
+        for _ in range(data.draw(st.integers(0, most))):
+            anchors = set(concepts) | (getattr(like, field) if like else set())
+            concepts.append(_near(data, taxonomy, pool, anchors))
+        fields[field] = concepts
+    return Capability.build(uri, uri.rsplit(":", 1)[-1], **fields)
+
+
+class TestSubsumerMapKernel:
+    """The subsumer-map kernel (a cached ``CodeMatcher``'s ``match`` /
+    ``semantic_distance``) must agree exactly with per-pair evaluation
+    (``match_outcome``), whatever codes the document embeds."""
+
+    MODES = ("none", "equal_copies", "resolved", "foreign_concept", "differing_code")
+
+    @staticmethod
+    def _embedded(mode, table, capabilities, data):
+        concepts = sorted(
+            {c for cap in capabilities for c in cap.concepts() if c in table}
+        )
+        if mode == "none":
+            return None
+        if mode == "equal_copies":
+            return {
+                c: ConceptCode.deserialize(c, table.code(c).serialize()) for c in concepts
+            }
+        if mode == "resolved":
+            annotations = {c: table.code(c).serialize() for c in concepts}
+            return table.resolve_annotations(annotations, table.version)
+        if not concepts:
+            return None
+        source = table.code(data.draw(st.sampled_from(concepts)))
+        if mode == "foreign_concept":
+            return {UNKNOWN: dataclasses.replace(source, uri=UNKNOWN)}
+        target = data.draw(st.sampled_from(concepts))
+        return {target: dataclasses.replace(source, uri=target)}
+
+    @pytest.mark.parametrize("suite", ["media", "small"])
+    @pytest.mark.parametrize("mode", MODES)
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_kernel_equals_per_pair(
+        self, suite, mode, data, media_table, media_taxonomy, small_table, small_workload
+    ):
+        table, taxonomy = (
+            (media_table, media_taxonomy)
+            if suite == "media"
+            else (small_table, small_workload.taxonomy)
+        )
+        pool = sorted(taxonomy.concepts()) + [UNKNOWN]
+        requested = _capability(data, taxonomy, pool, "urn:x:cap:Requested")
+        provided = [
+            _capability(data, taxonomy, pool, f"urn:x:cap:P{i}", like=requested)
+            for i in range(4)
+        ]
+        extra = self._embedded(mode, table, [requested, *provided], data)
+        cache = DistanceCache()
+        kernel = CodeMatcher(table=table, extra_codes=extra, cache=cache)
+        oracle = CodeMatcher(table=table, extra_codes=extra)  # no cache: per pair
+        # Independent of how a matcher sorts embedded codes out: one code
+        # map in which the embedded codes shadow the table's.
+        used = requested.concepts().union(*(cap.concepts() for cap in provided))
+        shadowed = {c: table.code(c) for c in used if c in table} | (extra or {})
+        # (A CodeMatcher needs some code; a never-drawn stand-in serves
+        # draws without one.)
+        stand_in = "http://nowhere.org/o#StandIn"
+        reference = CodeMatcher(extra_codes=shadowed or {stand_in: table.code(pool[0])})
+        # Each provided capability twice: the first use of ``requested``
+        # probes its input maps one by one, later uses the merged map.
+        for candidate in provided + provided:
+            outcome = reference.match_outcome(candidate, requested)
+            expected = outcome.distance if outcome.matched else None
+            # The reverse direction compiles each provided capability once.
+            reverse = reference.match_outcome(requested, candidate)
+            for matcher in (kernel, oracle):
+                assert matcher.semantic_distance(candidate, requested) == expected
+                assert matcher.match(candidate, requested) is outcome.matched
+                assert matcher.match(requested, candidate) is reverse.matched
+        assert kernel.stats.capability_matches == oracle.stats.capability_matches
+        if mode in ("none", "equal_copies", "resolved"):
+            # Table-only codes: the cache holds one subsumer map per
+            # concept and no pairs.
+            assert len(cache) <= len(used)
+        if suite == "media" and mode == "none":
+            # Tree-shaped taxonomy: code distances equal taxonomy levels.
+            reasoner = TaxonomyMatcher(taxonomy)
+            for candidate in provided:
+                assert kernel.semantic_distance(
+                    candidate, requested
+                ) == reasoner.semantic_distance(candidate, requested)
+
+    def test_repeat_compile_hits_the_cache(
+        self, media_table, send_digital_stream, get_video_stream
+    ):
+        cache = DistanceCache()
+        first = CodeMatcher(table=media_table, cache=cache)
+        assert first.semantic_distance(send_digital_stream, get_video_stream) == 3
+        assert first.stats.cache_hits == 0 and first.stats.cache_misses > 0
+        second = CodeMatcher(table=media_table, cache=cache)
+        assert second.semantic_distance(send_digital_stream, get_video_stream) == 3
+        assert second.stats.cache_misses == 0 and second.stats.cache_hits > 0

@@ -3,12 +3,16 @@ incremental Bloom summaries (docs/PERFORMANCE.md)."""
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.core.codes import CodeTable, StaleCodesError
 from repro.core.directory import FlatDirectory, SemanticDirectory
+from repro.core.sharding import ShardedSemanticDirectory
 from repro.core.summaries import DirectorySummary
-from repro.services.xml_codec import ServiceSyntaxError, profile_to_xml
+from repro.services.profile import Capability, ServiceRequest
+from repro.services.xml_codec import ServiceSyntaxError, profile_to_xml, request_to_xml
 
 
 def canon(matches):
@@ -78,6 +82,59 @@ class TestSharedDistanceCache:
             directory.publish_xml(doc)
         with pytest.raises(StaleCodesError):
             directory.publish_xml_batch([doc])
+
+
+class TestUnselectiveRequests:
+    """Requests shaped like the live benchmark's ``broad_match`` mix (every
+    leaf of two ontologies as inputs, one leaf output, codes embedded)
+    answer identically through the subsumer-map kernel, the per-pair path
+    and the 2-shard tier."""
+
+    @staticmethod
+    def _leaves(workload, ontology):
+        taxonomy = workload.taxonomy
+        return sorted(
+            c for c in ontology.concepts if not taxonomy.children(taxonomy.canonical(c))
+        )
+
+    def test_kernel_per_pair_and_tier_agree(self, small_workload, small_table):
+        table = small_table
+        kernel = SemanticDirectory(table)
+        per_pair = SemanticDirectory(table, distance_cache_size=0)
+        tier = ShardedSemanticDirectory(table, 2)
+        for index in range(96):
+            profile = small_workload.make_service(index)
+            document = profile_to_xml(
+                profile, annotations=table.annotate(profile.provided), codes_version=table.version
+            )
+            for directory in (kernel, per_pair, tier):
+                directory.publish_xml(document)
+        rng = random.Random(5)
+        compared = 0
+        for number in range(24):
+            first, second = rng.sample(small_workload.ontologies, 2)
+            leaves = self._leaves(small_workload, first) + self._leaves(small_workload, second)
+            capability = Capability.build(
+                f"urn:x:cap:broad{number}",
+                f"Broad{number}",
+                inputs=leaves,
+                outputs=[rng.choice(leaves)],
+            )
+            request = ServiceRequest(uri=f"urn:x:req:broad{number}", capabilities=(capability,))
+            document = request_to_xml(
+                request,
+                annotations=table.annotate(request.capabilities),
+                codes_version=table.version,
+            )
+            expected = canon(per_pair.query_xml(document))
+            assert canon(kernel.query_xml(document)) == expected
+            # The tier stops its greedy graph scan per shard, so a perfect
+            # match can leave the other shard's worse rows in its answer.
+            if all(row[-1] != 0 for row in expected):
+                assert canon(tier.query_xml(document)) == expected
+                compared += bool(expected)
+        assert compared >= 3
+        assert kernel.stats.capability_matches == per_pair.stats.capability_matches
 
 
 class TestBatchApis:
