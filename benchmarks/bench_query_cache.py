@@ -5,9 +5,14 @@ request stream (rank weight ``1/rank^1.1``) over 30 distinct requests —
 the skew a pervasive environment produces when a few popular capabilities
 (printing, media rendering) dominate discovery traffic.  Reported series:
 
-* **cold vs warm** — the same request stream against a fresh
-  :class:`SemanticDirectory` and against one whose shared distance cache
-  is already hot, with the cache hit rate;
+* **cold vs warm** — the same request stream against a freshly
+  published :class:`SemanticDirectory` and the stream again on the same
+  directory, with the shared distance cache's hit rate.  A hit or miss is
+  one whole entry: a concept's subsumer map, or a compiled requested
+  capability on the query path (``docs/PERFORMANCE.md``, "Subsumer
+  maps"), not a concept pair.  ``query_batch`` compiles each distinct
+  capability once and every map is fetched on first use, so the rates
+  read low even when little work is left;
 * **flat linear vs flat indexed** — the Fig. 9 baseline scan against the
   same directory accelerated by the sorted interval index;
 * **batch vs one-at-a-time** — ``query_batch`` against a Python-level

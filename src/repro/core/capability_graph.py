@@ -8,6 +8,16 @@ request against roots only and descends toward the smallest semantic
 distance, so answering a request needs a handful of semantic matches
 instead of one per cached capability (the Fig. 9 effect).
 
+Each graph also keeps a *concept index*: its vertices by the output and
+by the property concepts of their representatives.  A matcher that
+resolves codes from the table alone hands out each requested concept's
+subsumer map (:meth:`repro.core.matching.Matcher.subsumers`), and the
+vertices indexed under a concept of that map are exactly the ones whose
+representative can cover it.  Intersecting over the requested outputs and
+properties gives the vertices that can match at all, so a query or an
+insertion starts from the parentless candidates instead of every root and
+never runs a semantic match that is bound to fail.
+
 The paper's insertion pseudocode is under-specified (its root/leaf loops do
 not pin down the final edge set); we implement the standard partial-order
 insertion it sketches — find the *minimal subsumers* with a pruned
@@ -33,7 +43,6 @@ import enum
 import itertools
 from dataclasses import dataclass, field
 
-from repro.core.interval_index import CandidateIndex
 from repro.core.matching import Matcher
 from repro.obs import NULL_OBS
 from repro.services.profile import Capability
@@ -76,24 +85,17 @@ class GraphMatch:
     distance: int
 
 
-#: Below this vertex count a linear scan beats the interval-index stab
-#: (building the candidate set costs a few matcher evaluations' worth of
-#: set work), so preselection only engages on graphs at least this big.
-PRESELECT_MIN_NODES = 4
-
-
 class CapabilityDag:
     """One classified graph of capabilities (vertices + reduction edges)."""
 
     def __init__(self) -> None:
         self._nodes: dict[int, DagNode] = {}
         self._ids = itertools.count(1)
-        # Interval index over the vertices' representative capabilities:
-        # preselects, per requested capability, the vertices whose
-        # representative *may* match, so insertions and queries skip the
-        # guaranteed-miss semantic matches (code-backed matchers only;
-        # taxonomy matchers carry no codes and keep the full scan).
-        self._index = CandidateIndex()
+        # Concept index over the vertices' representatives: concept →
+        # vertex ids, one map for output concepts and one for property
+        # concepts (see :meth:`_candidates`).
+        self._by_output: dict[str, set[int]] = {}
+        self._by_property: dict[str, set[int]] = {}
         self.obs = NULL_OBS
 
     # ------------------------------------------------------------------
@@ -132,14 +134,9 @@ class CapabilityDag:
     # ------------------------------------------------------------------
     def insert(self, capability: Capability, service_uri: str, matcher: Matcher) -> int:
         """Classify one capability into the graph; returns its vertex id."""
-        lookup = getattr(matcher, "lookup", None)
         # Vertices that can subsume the newcomer (``Match(N, capability)``)
         # are exactly the query-direction candidates for it.
-        candidates = (
-            self._index.candidates(capability, lookup)
-            if lookup is not None and len(self._nodes) >= PRESELECT_MIN_NODES
-            else None
-        )
+        candidates = self._candidates(capability, matcher)
         uppers = self._minimal_subsumers(capability, matcher, candidates)
         equal = next(
             (
@@ -157,7 +154,9 @@ class CapabilityDag:
         node = DagNode(node_id=next(self._ids), representative=capability)
         node.entries.append(DagEntry(capability, service_uri))
         self._nodes[node.node_id] = node
-        self._index.insert(node.node_id, capability, lookup)
+        for concepts, index in self._indexed_fields(capability):
+            for concept in concepts:
+                index.setdefault(concept, set()).add(node.node_id)
 
         # Remove reduction edges that the new vertex now interposes.
         for lower_id in lowers:
@@ -196,8 +195,9 @@ class CapabilityDag:
         Top search from the roots: subsumers are ancestor-closed (Match is
         transitive), so children of a non-matching vertex never match.
         ``candidates`` (when not ``None``) is a sound superset of the
-        matching vertices from the interval index; vertices outside it are
-        rejected without a semantic match.
+        matching vertices (:meth:`_candidates`); vertices outside it are
+        rejected without a semantic match, and the search starts from the
+        parentless ones among them.
         """
         matching_memo: dict[int, bool] = {}
 
@@ -211,7 +211,7 @@ class CapabilityDag:
             return matching_memo[node_id]
 
         result: set[int] = set()
-        stack = [node.node_id for node in self.roots() if matches(node.node_id)]
+        stack = [node_id for node_id in self._root_ids(candidates) if matches(node_id)]
         seen: set[int] = set()
         while stack:
             node_id = stack.pop()
@@ -279,7 +279,12 @@ class CapabilityDag:
 
     def _delete_node(self, node_id: int) -> None:
         node = self._nodes.pop(node_id)
-        self._index.discard(node_id)
+        for concepts, index in self._indexed_fields(node.representative):
+            for concept in concepts:
+                ids = index[concept]
+                ids.discard(node_id)
+                if not ids:
+                    del index[concept]
         for parent_id in node.parents:
             self._nodes[parent_id].children.discard(node_id)
         for child_id in node.children:
@@ -306,6 +311,58 @@ class CapabilityDag:
     # ------------------------------------------------------------------
     # Query (§3.3 "Answering User Requests")
     # ------------------------------------------------------------------
+    def _candidates(self, requested: Capability, matcher: Matcher) -> set[int] | None:
+        """Vertices whose representative may match ``requested``; ``None``
+        when the matcher gives no preselection.
+
+        ``Match`` needs every requested output (property) covered by some
+        provided output (property), so a vertex qualifies only if, for each
+        requested concept, its representative holds a concept of that
+        concept's subsumer map: the candidates are the intersection, over
+        the requested outputs and properties, of the vertices indexed under
+        the map's concepts.  For a matcher resolving codes from the table
+        this is exact on outputs and properties (inputs are left to the
+        matcher).  ``None`` when the request has neither outputs nor
+        properties, or the matcher hands out no maps (taxonomy matchers,
+        embedded codes shadowing the table).
+        """
+        result: set[int] | None = None
+        for concepts, index in self._indexed_fields(requested):
+            for concept in concepts:
+                subsumers = matcher.subsumers(concept)
+                if subsumers is None:
+                    return None
+                hits: set[int] = set()
+                if len(subsumers) <= len(index):
+                    for over in subsumers:
+                        ids = index.get(over)
+                        if ids is not None:
+                            hits.update(ids)
+                else:
+                    for over, ids in index.items():
+                        if over in subsumers:
+                            hits.update(ids)
+                result = hits if result is None else result & hits
+                if not result:
+                    return result
+        return result
+
+    def _indexed_fields(self, capability: Capability):
+        """``(concepts, concept index)`` for the output and the property
+        concepts of ``capability``."""
+        return (
+            (capability.outputs, self._by_output),
+            (capability.properties, self._by_property),
+        )
+
+    def _root_ids(self, candidates: set[int] | None) -> list[int]:
+        """The parentless vertices, among ``candidates`` when given, in
+        insertion order (vertex ids grow with insertion)."""
+        nodes = self._nodes
+        if candidates is None:
+            return [node_id for node_id, node in nodes.items() if not node.parents]
+        return sorted(node_id for node_id in candidates if not nodes[node_id].parents)
+
     def query(
         self,
         requested: Capability,
@@ -319,59 +376,53 @@ class CapabilityDag:
         descended toward strictly smaller distances; in ``EXHAUSTIVE`` mode
         every vertex is evaluated.
 
-        Code-backed matchers first narrow both scans through the interval
-        index: a vertex outside the candidate set cannot match (its
-        distance would be ``None``), so skipping it changes no result —
-        only the number of semantic matches evaluated.
+        Both scans are narrowed to the candidate vertices
+        (:meth:`_candidates`) when the matcher provides subsumer maps: a
+        vertex outside the set cannot match (its distance would be
+        ``None``), so skipping it changes no result — only the number of
+        semantic matches evaluated.
         """
         obs = self.obs
         if not obs.enabled:
-            return self._query_impl(requested, matcher, mode)
+            return self._search(requested, matcher, mode, self._candidates(requested, matcher))
         with obs.span("dag.descend", mode=mode.name.lower(), vertices=len(self._nodes)) as span:
-            results = self._query_impl(requested, matcher, mode)
+            candidates = self._candidates(requested, matcher)
+            results = self._search(requested, matcher, mode, candidates)
+            span.attrs["candidates"] = len(self._nodes if candidates is None else candidates)
             span.attrs["hits"] = len(results)
         return results
 
-    def _query_impl(
+    def _search(
         self,
         requested: Capability,
         matcher: Matcher,
         mode: QueryMode,
+        candidates: set[int] | None,
     ) -> list[GraphMatch]:
-        lookup = getattr(matcher, "lookup", None)
-        candidates = (
-            self._index.candidates(requested, lookup)
-            if lookup is not None and len(self._nodes) >= PRESELECT_MIN_NODES
-            else None
-        )
+        if candidates is not None and not candidates:
+            return []
+        nodes = self._nodes
         hits: dict[int, int] = {}
         if mode is QueryMode.EXHAUSTIVE:
-            nodes = (
-                self._nodes.values()
-                if candidates is None
-                else (self._nodes[node_id] for node_id in candidates)
-            )
-            for node in nodes:
-                distance = matcher.semantic_distance(node.representative, requested)
+            for node_id in nodes if candidates is None else sorted(candidates):
+                distance = matcher.semantic_distance(nodes[node_id].representative, requested)
                 if distance is not None:
-                    hits[node.node_id] = distance
+                    hits[node_id] = distance
         else:
-            for root in self.roots():
-                if candidates is not None and root.node_id not in candidates:
-                    continue
-                distance = matcher.semantic_distance(root.representative, requested)
+            for root_id in self._root_ids(candidates):
+                distance = matcher.semantic_distance(nodes[root_id].representative, requested)
                 if distance is None:
                     continue
-                current_id, current_distance = root.node_id, distance
+                current_id, current_distance = root_id, distance
                 hits[current_id] = min(hits.get(current_id, current_distance), current_distance)
                 improved = True
                 while improved and current_distance > 0:
                     improved = False
-                    for child_id in self._nodes[current_id].children:
+                    for child_id in nodes[current_id].children:
                         if candidates is not None and child_id not in candidates:
                             continue
                         child_distance = matcher.semantic_distance(
-                            self._nodes[child_id].representative, requested
+                            nodes[child_id].representative, requested
                         )
                         if child_distance is not None and child_distance < current_distance:
                             current_id, current_distance = child_id, child_distance
@@ -383,7 +434,7 @@ class CapabilityDag:
         results = [
             GraphMatch(entry.capability, entry.service_uri, distance)
             for node_id, distance in hits.items()
-            for entry in self._nodes[node_id].entries
+            for entry in nodes[node_id].entries
         ]
         results.sort(key=lambda m: (m.distance, m.service_uri))
         return results

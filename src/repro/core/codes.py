@@ -250,6 +250,25 @@ class CodeTable:
                 resolved[uri] = ConceptCode.deserialize(uri, data)
         return resolved
 
+    def foreign_codes(self, codes: dict[str, ConceptCode] | None) -> dict[str, ConceptCode] | None:
+        """The codes of ``codes`` this table cannot stand in for: those of
+        concepts it lacks or that differ from its own.  ``None`` when every
+        code equals the table's, which is what an up-to-date annotated
+        document carries, so its matchers need no embedded codes at all.
+
+        :meth:`resolve_annotations` hands out the table's own object for an
+        unchanged code, so an identity test settles the common case.
+        """
+        if not codes:
+            return None
+        own_codes = self._codes
+        foreign = {
+            uri: code
+            for uri, code in codes.items()
+            if (own := own_codes.get(uri)) is not code and own != code
+        }
+        return foreign or None
+
     def _serialized(self, concept_uri: str) -> str | None:
         """The wire form of ``concept_uri``'s code (memoized), or ``None``."""
         data = self._wire.get(concept_uri)

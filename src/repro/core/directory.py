@@ -206,7 +206,11 @@ class SemanticDirectory:
         """All cached provided capabilities."""
         return [cap for profile in self._profiles.values() for cap in profile.provided]
 
-    def _matcher(self, extra_codes: dict | None = None) -> Matcher:
+    def _matcher(self, extra_codes: dict | None = None, query: bool = False) -> Matcher:
+        """A matcher over the shared cache.  Query-path matchers keep their
+        compiled requested capabilities in the cache too (see
+        :class:`~repro.core.matching.CodeMatcher`), so a recurring request
+        is compiled once per table version."""
         cache = self.distance_cache
         if cache is not None:
             # Cached distances are pure functions of the table snapshot
@@ -215,7 +219,11 @@ class SemanticDirectory:
             # being rejected with StaleCodesError.
             cache.ensure_version((id(self.table), self.table.version))
         return CodeMatcher(
-            table=self.table, extra_codes=extra_codes, cache=cache, stats=self.stats
+            table=self.table,
+            extra_codes=extra_codes,
+            cache=cache,
+            stats=self.stats,
+            share_compiled=query,
         )
 
     # ------------------------------------------------------------------
@@ -403,7 +411,7 @@ class SemanticDirectory:
                     extra = self.table.resolve_annotations(annotations.codes, annotations.version)
         if self._staged is not None and not extra:
             return self._staged.query(request)
-        return self._query(request, self._matcher(extra))
+        return self._query(request, self._matcher(extra, query=True))
 
     def query(
         self, request: ServiceRequest, extra_codes: dict | None = None
@@ -420,7 +428,7 @@ class SemanticDirectory:
         """
         if self._staged is not None and not extra_codes:
             return self._staged.query(request)
-        return self._query(request, self._matcher(extra_codes))
+        return self._query(request, self._matcher(extra_codes, query=True))
 
     def query_batch(self, requests: Iterable[ServiceRequest]) -> list[list[DirectoryMatch]]:
         """Answer many requests with one matcher; returns per-request
@@ -428,7 +436,7 @@ class SemanticDirectory:
         distance cache hot across the whole batch."""
         if self._staged is not None:
             return self._staged.query_batch(requests)
-        matcher = self._matcher(None)
+        matcher = self._matcher(None, query=True)
         return [self._query(request, matcher) for request in requests]
 
     def _query(self, request: ServiceRequest, matcher: Matcher) -> list[DirectoryMatch]:

@@ -3,9 +3,9 @@
 The encoded matcher decides ``provider ⊒ requested`` by checking that the
 requested concept's *tree interval* is contained in one of the provider
 concept's *code intervals* (:meth:`repro.core.codes.ConceptCode.subsumes`).
-The flat directory and the DAG root scan both evaluate that containment
-against every cached entry per request — an O(n) scan of mostly guaranteed
-misses.  This module turns the scan into a stabbing query: index the code
+The flat directory's linear scan evaluates that containment against every
+cached entry per request — an O(n) scan of mostly guaranteed misses.
+This module turns the scan into a stabbing query: index the code
 intervals of all cached provider concepts once, then find the entries whose
 intervals *contain* a requested tree interval by binary search.
 

@@ -60,9 +60,11 @@ class MatcherStats:
     probe in :class:`CodeMatcher`'s kernel.  ``cache_hits``/``cache_misses``
     count fetches from the shared :class:`repro.util.cache.DistanceCache`:
     a pair on the per-pair path (pairs involving document-embedded codes
-    bypass it), or a whole subsumer map when the kernel compiles a
-    requested capability.  A map fetch answers many later comparisons, so
-    the sum is no longer bounded by ``concept_comparisons``.
+    bypass it), a whole subsumer map when the kernel compiles a requested
+    capability or a capability graph preselects its candidates, or a whole
+    compiled request on the query path.  A map fetch answers many later
+    comparisons, so the sum is no longer bounded by
+    ``concept_comparisons``.
     """
 
     capability_matches: int = 0
@@ -95,6 +97,15 @@ class Matcher:
     def _d(self, over: str, under: str) -> int | None:
         self.stats.concept_comparisons += 1
         return self.concept_distance(over, under)
+
+    def subsumers(self, concept: str) -> dict[str, int] | None:
+        """``{over: d(over, concept)}`` for every concept this matcher can
+        pair with ``concept`` on the subsuming side, or ``None`` when the
+        matcher cannot enumerate them.  Capability graphs preselect their
+        candidate vertices from these maps
+        (:meth:`repro.core.capability_graph.CapabilityDag.query`); the
+        base class enumerates nothing, so they scan every vertex."""
+        return None
 
     def concept_degree(self, provided: str, requested: str) -> "MatchDegree":
         """Paolucci-style degree for one requested/provided concept pair."""
@@ -249,7 +260,15 @@ class CodeMatcher(Matcher):
     |R.out|·|P.out| + |R.prop|·|P.prop|`` dict probes and no interval
     search.  The maps are the cache's entries, one per concept, built on
     first use and reused by every later matcher until the table version
-    changes.
+    changes.  With ``share_compiled`` the compiled capabilities are cache
+    entries too, keyed by the capability, so an equal capability matched
+    by a later matcher (the next query, another shard) is not compiled
+    again.
+
+    :meth:`subsumers` hands the same maps to capability graphs for
+    candidate preselection: the cached ones with a cache, maps computed
+    from the table without one (memoized per matcher either way), and none
+    for a matcher whose embedded codes shadow the table.
 
     The per-pair evaluation (:meth:`Matcher.match_outcome`, the oracle the
     kernel must agree with) answers everything else: pairings and degrees,
@@ -273,6 +292,11 @@ class CodeMatcher(Matcher):
             directory: it holds the kernel's subsumer maps and the
             per-pair path's table-only distances, across matcher instances.
         stats: shared counter object (see :class:`Matcher`).
+        share_compiled: keep compiled requested capabilities in ``cache``
+            (kernel matchers only).  The directory sets it on the query
+            path, where a few hundred distinct requests recur; publication
+            compiles every stored capability it inserts past, which would
+            grow the cache with the catalog.
     """
 
     def __init__(
@@ -281,29 +305,33 @@ class CodeMatcher(Matcher):
         extra_codes: dict[str, ConceptCode] | None = None,
         cache: DistanceCache | None = None,
         stats: MatcherStats | None = None,
+        share_compiled: bool = False,
     ) -> None:
         super().__init__(stats=stats)
         if table is None and not extra_codes:
             raise ValueError("CodeMatcher needs a code table and/or embedded codes")
         self._table = table
-        self._extra = extra_codes or {}
-        if table is not None and self._extra:
-            # resolve_annotations hands out the table's own object for an
-            # unchanged code, so the identity test settles the common case.
-            self._extra = {
-                uri: code
-                for uri, code in self._extra.items()
-                if uri not in table or ((own := table.code(uri)) is not code and own != code)
-            }
+        self._extra = (
+            (table.foreign_codes(extra_codes) if table is not None else extra_codes) or {}
+        )
         self._cache = cache
-        self._kernel = cache is not None and table is not None and not self._extra
+        self._table_only = table is not None and not self._extra
+        self._kernel = cache is not None and self._table_only
+        self._share = share_compiled and self._kernel
         self._compiled: dict[int, _CompiledRequest] = {}
+        # Requested capabilities whose compiled form came from the cache
+        # under an equal object: held so their ids stay unique while the
+        # ``_compiled`` keys refer to them.
+        self._held: list[Capability] = []
+        # The maps handed to capability graphs, fetched once per matcher
+        # (every graph a request visits asks for the same few).
+        self._maps: dict[str, dict[str, int]] = {}
 
     def lookup(self, concept: str) -> ConceptCode | None:
         """The code this matcher uses for ``concept`` (embedded codes
         shadow the table), or ``None`` when neither source covers it.
 
-        Public because the interval indexes
+        Public because the flat directory's interval index
         (:mod:`repro.core.interval_index`) must preselect with exactly the
         resolution the confirming matcher will use.
         """
@@ -348,6 +376,21 @@ class CodeMatcher(Matcher):
             return self._kernel_distance(provided, requested)
         return super().semantic_distance(provided, requested)
 
+    def subsumers(self, concept: str) -> dict[str, int] | None:
+        """``concept``'s subsumer map as this matcher resolves codes (see
+        :meth:`Matcher.subsumers`): the cached map for kernel matchers, one
+        computed from the table for uncached table-only matchers (both
+        preselect the same vertices), ``None`` when embedded codes shadow
+        the table or there is none."""
+        if not self._table_only:
+            return None
+        found = self._maps.get(concept)
+        if found is None:
+            found = self._maps[concept] = (
+                self._subsumers(concept) if self._kernel else self._table.subsumers(concept)
+            )
+        return found
+
     def _subsumers(self, concept: str) -> dict[str, int]:
         cache = self._cache
         found = cache.get(concept, MISS)
@@ -364,9 +407,9 @@ class CodeMatcher(Matcher):
         stats.capability_matches += 1
         compiled = self._compiled.get(id(requested))
         if compiled is None:
-            compiled = _CompiledRequest(requested, self._subsumers)
+            compiled = self._compile(requested)
             self._compiled[id(requested)] = compiled
-            input_maps = compiled.input_maps
+            input_maps = compiled.merged or compiled.input_maps
         else:
             input_maps = compiled.merged or compiled.merge_inputs()
         total = 0
@@ -398,6 +441,26 @@ class CodeMatcher(Matcher):
         stats.concept_comparisons += probes
         return total
 
+    def _compile(self, requested: Capability) -> "_CompiledRequest":
+        """``requested`` in the kernel's form; from the cache when shared
+        (an entry from an earlier matcher has matched before, so its
+        inputs are merged)."""
+        if not self._share:
+            return _CompiledRequest(requested, self._subsumers)
+        cache = self._cache
+        compiled = cache.get(requested, MISS)
+        if compiled is not MISS:
+            self.stats.cache_hits += 1
+            if compiled.requested is not requested:
+                self._held.append(requested)
+            if compiled.merged is None:
+                compiled.merge_inputs()
+            return compiled
+        self.stats.cache_misses += 1
+        compiled = _CompiledRequest(requested, self._subsumers)
+        cache.put(requested, compiled)
+        return compiled
+
 
 class _CompiledRequest:
     """A requested capability in the kernel's form (see :class:`CodeMatcher`).
@@ -407,7 +470,9 @@ class _CompiledRequest:
     capability's inputs pass.  The input maps are merged into ``{over:
     min distance}`` on the capability's second match: a capability matched
     once (most requested sides during DAG insertion) is cheaper to probe
-    map by map than to merge.
+    map by map than to merge.  Every field is a function of the
+    capability's value and the table version, so one instance may serve
+    any number of matchers over the same cache.
     """
 
     __slots__ = ("requested", "input_maps", "merged", "_rest")

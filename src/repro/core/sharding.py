@@ -697,8 +697,10 @@ class ShardedSemanticDirectory:
         extra = None
         if annotations:
             with self.timer.phase("encode"):
-                extra = self.table.resolve_annotations(
-                    annotations.codes, annotations.version
+                # Dropped once here, not in every shard's matcher: codes
+                # the table already holds.
+                extra = self.table.foreign_codes(
+                    self.table.resolve_annotations(annotations.codes, annotations.version)
                 )
         return self.router.query(request, extra)
 

@@ -33,7 +33,9 @@ class ParsedSemanticRequest:
 
     Bundles the parsed :class:`ServiceRequest` with its §3.2 code
     annotations; the resolved matcher codes are memoized per code-table
-    snapshot so resolution, like parsing, happens once per node.
+    snapshot so resolution, like parsing, happens once per node.  Codes
+    equal to the table's own are dropped in the memo, once, instead of by
+    every matcher of every shard the request reaches.
     """
 
     __slots__ = ("request", "annotations", "_extra", "_extra_key")
@@ -46,7 +48,8 @@ class ParsedSemanticRequest:
 
     def resolve(self, table: CodeTable) -> dict | None:
         """Matcher codes for the embedded annotations (memoized per
-        table snapshot).
+        table snapshot): the ones the table cannot stand in for, ``None``
+        when there are none.
 
         Raises:
             StaleCodesError: annotations minted against another snapshot.
@@ -54,7 +57,9 @@ class ParsedSemanticRequest:
         key = (id(table), table.version)
         if self._extra_key != key:
             self._extra = (
-                table.resolve_annotations(self.annotations.codes, self.annotations.version)
+                table.foreign_codes(
+                    table.resolve_annotations(self.annotations.codes, self.annotations.version)
+                )
                 if self.annotations
                 else None
             )
@@ -200,7 +205,7 @@ class SAriadneDirectoryAgent(DirectoryAgentBase):
         if obs.enabled:
             with obs.span("query.encode", sim_time=self.runtime.now) as span:
                 extra = parsed.resolve(self.directory.table)
-                span.attrs["annotated"] = extra is not None
+                span.attrs["annotated"] = bool(parsed.annotations)
         else:
             extra = parsed.resolve(self.directory.table)
         matches = self.directory.query(parsed.request, extra)

@@ -1,6 +1,8 @@
 """Tests for capability DAG classification (§3.3): insertion, ordering
 invariants, query modes, removal."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -311,3 +313,136 @@ class TestTextRendering:
         )
         text = dag.to_text()
         assert text.count("Bottom") >= 1  # rendered under at least one root
+
+
+class TestConceptIndex:
+    """The concept index (vertices by representative output and property
+    concept) through random insert/remove sequences: it stays equal to one
+    rebuilt from the surviving vertices, selects what the interval index
+    over the same vertices selects, and changes no answer."""
+
+    FOREIGN = "http://nowhere.org/o#Unencoded"
+
+    @staticmethod
+    def _capability(data, pool, near, uri):
+        """A random capability, its concepts mostly from ``near`` (a few
+        concepts and their relatives) so that capabilities subsume each
+        other and the graphs grow edges."""
+        fields = {}
+        for field, most in (("inputs", 3), ("outputs", 2), ("properties", 2)):
+            fields[field] = [
+                data.draw(st.sampled_from(near if data.draw(st.integers(0, 3)) else pool))
+                for _ in range(data.draw(st.integers(0, most)))
+            ]
+        return Capability.build(uri, uri.rsplit(":", 1)[-1], **fields)
+
+    @staticmethod
+    def _rebuilt(dag):
+        outputs: dict[str, set[int]] = {}
+        properties: dict[str, set[int]] = {}
+        for node in dag.nodes():
+            for concept in node.representative.outputs:
+                outputs.setdefault(concept, set()).add(node.node_id)
+            for concept in node.representative.properties:
+                properties.setdefault(concept, set()).add(node.node_id)
+        return outputs, properties
+
+    @staticmethod
+    def _shape(dag):
+        return [
+            (
+                node.node_id,
+                node.representative.uri,
+                sorted(node.parents),
+                sorted(node.children),
+                [(entry.capability.uri, entry.service_uri) for entry in node.entries],
+            )
+            for node in dag.nodes()
+        ]
+
+    @pytest.mark.parametrize("suite", ["media", "small"])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_churn_keeps_index_candidates_and_answers(
+        self, suite, data, media_table, media_taxonomy, small_table, small_workload
+    ):
+        from repro.core.interval_index import CandidateIndex
+        from repro.core.matching import CodeMatcher
+        from repro.util.cache import DistanceCache
+
+        table, taxonomy = (
+            (media_table, media_taxonomy)
+            if suite == "media"
+            else (small_table, small_workload.taxonomy)
+        )
+        pool = sorted(c for c in taxonomy.concepts() if c in table)
+        anchors = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
+        near = sorted(
+            {
+                c
+                for anchor in anchors
+                for c in taxonomy.ancestors(anchor) | taxonomy.children(anchor) | {anchor}
+                if c in table
+            }
+        )
+        stand_in = dataclasses.replace(table.code(pool[0]), uri=self.FOREIGN)
+        matchers = {
+            "kernel": CodeMatcher(table=table, cache=DistanceCache()),
+            "uncached": CodeMatcher(table=table),
+            # An embedded code the table lacks: no subsumer maps, full scan.
+            "foreign": CodeMatcher(table=table, extra_codes={self.FOREIGN: stand_in}),
+        }
+        assert matchers["foreign"].subsumers(pool[0]) is None
+        dags = {name: CapabilityDag() for name in matchers}
+        for step in range(data.draw(st.integers(1, 14))):
+            service = f"urn:x:svc:{data.draw(st.integers(0, 4))}"
+            if data.draw(st.integers(0, 3)) == 0:
+                removed = {name: dag.remove_service(service) for name, dag in dags.items()}
+                assert len(set(removed.values())) == 1
+            else:
+                capability = self._capability(data, pool, near, f"urn:x:cap:C{step}")
+                for name, dag in dags.items():
+                    dag.insert(capability, service, matchers[name])
+        shapes = [self._shape(dag) for dag in dags.values()]
+        assert shapes[0] == shapes[1] == shapes[2]
+        for dag in dags.values():
+            assert (dag._by_output, dag._by_property) == self._rebuilt(dag)
+
+        oracle = CandidateIndex()
+        for node in dags["uncached"].nodes():
+            oracle.insert(node.node_id, node.representative, matchers["uncached"].lookup)
+        for number in range(data.draw(st.integers(1, 4))):
+            requested = self._capability(data, pool, near, f"urn:x:cap:R{number}")
+            for name in ("kernel", "uncached"):
+                matcher = matchers[name]
+                assert dags[name]._candidates(requested, matcher) == oracle.candidates(
+                    requested, matcher.lookup
+                )
+            for mode in QueryMode:
+                answers = [
+                    dag.query(requested, matchers[name], mode) for name, dag in dags.items()
+                ]
+                assert answers[0] == answers[1] == answers[2]
+        assert (
+            matchers["kernel"].stats.capability_matches
+            == matchers["uncached"].stats.capability_matches
+        )
+
+    def test_descend_span_reports_candidates(self, media_table):
+        from repro.core.matching import CodeMatcher
+        from repro.obs import Observability, RingBufferSink
+
+        matcher = CodeMatcher(table=media_table)
+        dag = CapabilityDag()
+        dag.insert(cap("Digital", outputs=[r("DigitalResource")]), "svc-a", matcher)
+        dag.insert(cap("Video", outputs=[r("VideoResource")]), "svc-b", matcher)
+        dag.insert(cap("Server", outputs=[s("DigitalServer")]), "svc-c", matcher)
+        sink = RingBufferSink()
+        dag.obs = Observability(sinks=[sink])
+        hits = dag.query(cap("Want", outputs=[r("VideoResource")]), matcher)
+        # The server vertex cannot cover a resource output: not a candidate.
+        assert [(hit.service_uri, hit.distance) for hit in hits] == [("svc-b", 0), ("svc-a", 1)]
+        (span,) = [span for span in sink.spans if span.name == "dag.descend"]
+        assert span.attrs["vertices"] == 3
+        assert span.attrs["candidates"] == 2
+        assert span.attrs["hits"] == 2

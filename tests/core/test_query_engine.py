@@ -231,3 +231,90 @@ class TestStateRoundTrip:
         assert restored.table.version == small_table.version
         request = small_workload.matching_request(small_workload.make_service(1))
         assert canon(restored.query(request)) == canon(directory.query(request))
+
+
+class TestCompiledRequestMemo:
+    """Query-path matchers keep each requested capability's compiled form
+    in the directory's version-keyed distance cache, keyed by the
+    capability; publication does not."""
+
+    @staticmethod
+    def _rows(matches):
+        return [(m.service_uri, m.capability.uri, m.distance) for m in matches]
+
+    @staticmethod
+    def _copy(request):
+        """An equal request built from fresh objects."""
+        return ServiceRequest(
+            uri=request.uri,
+            capabilities=tuple(
+                Capability.build(
+                    cap.uri,
+                    cap.name,
+                    inputs=sorted(cap.inputs),
+                    outputs=sorted(cap.outputs),
+                    properties=sorted(cap.properties),
+                    category=cap.category,
+                )
+                for cap in request.capabilities
+            ),
+            requester=request.requester,
+        )
+
+    def test_publishing_adds_no_entries(self, small_workload, small_table):
+        directory = SemanticDirectory(small_table)
+        profiles = [small_workload.make_service(i) for i in range(30)]
+        directory.publish_batch(profiles[:20])
+        for profile in profiles[20:]:
+            directory.publish(profile)
+        cache = directory.distance_cache
+        assert len(cache) > 0  # subsumer maps only
+        assert not any(cap in cache for profile in profiles for cap in profile.provided)
+
+    def test_equal_requests_share_one_entry(self, small_workload, small_table):
+        directory = SemanticDirectory(small_table)
+        directory.publish_batch(small_workload.make_service(i) for i in range(30))
+        request = small_workload.matching_request(small_workload.make_service(4))
+        first = directory.query(request)
+        cache = directory.distance_cache
+        assert all(cap in cache for cap in request.capabilities)
+        entries, hits = len(cache), directory.stats.cache_hits
+        twin = self._copy(request)
+        assert twin.capabilities == request.capabilities
+        assert all(a is not b for a, b in zip(twin.capabilities, request.capabilities))
+        second = directory.query(twin)
+        assert len(cache) == entries
+        assert directory.stats.cache_hits > hits
+        assert self._rows(second) == self._rows(first) and first
+        # Each answer names its own request's capability.
+        assert all(m.requested is twin.capabilities[0] for m in second)
+
+    def test_table_version_change_flushes_entries(
+        self, small_workload, small_registry, small_table
+    ):
+        directory = SemanticDirectory(small_table)
+        directory.publish_batch(small_workload.make_service(i) for i in range(20))
+        request = small_workload.matching_request(small_workload.make_service(2))
+        (capability,) = request.capabilities
+        before = self._rows(directory.query(request))
+        cache = directory.distance_cache
+        compiled = cache.get(capability)
+        assert compiled is not None
+
+        small_registry.register(small_workload.ontologies[0])  # bump snapshot
+        directory.table = CodeTable(small_registry)
+        assert self._rows(directory.query(request)) == before
+        assert cache.stats.invalidations == 1
+        assert cache.get(capability) is not compiled
+
+    def test_tier_shards_reuse_entries(self, small_workload, small_table):
+        tier = ShardedSemanticDirectory(small_table, 2)
+        tier.publish_batch(small_workload.make_service(i) for i in range(40))
+        request = small_workload.matching_request(small_workload.make_service(7))
+        first = tier.query(request)
+        shards = tier.router.shards
+        (capability,) = request.capabilities
+        assert any(capability in shard.distance_cache for shard in shards)
+        hits = sum(shard.stats.cache_hits for shard in shards)
+        assert self._rows(tier.query(self._copy(request))) == self._rows(first)
+        assert sum(shard.stats.cache_hits for shard in shards) > hits
