@@ -7,10 +7,7 @@ pits it against the scalar per-entry matcher on identical content:
 * ``scalar`` — ``FlatDirectory(use_interval_index=False)``: the paper's
   linear scan, one ``match_outcome`` per cached capability (measured only
   up to 10⁴ entries; beyond that it is minutes per point);
-* ``batch`` — the same directory with ``use_batch_engine=True``
-  (auto-detected backend, numpy when available);
-* ``stdlib`` — the engine forced to the pure-stdlib backend, showing the
-  packed layout pays even without numpy.
+* ``batch`` — the same directory with ``use_batch_engine=True``.
 
 Gates (hard asserts, also exported for ``obs regress``):
 
@@ -31,7 +28,6 @@ import time
 from benchmarks._report import save_report
 from repro.core.codes import CodeTable
 from repro.core.directory import FlatDirectory
-from repro.core.packed import BatchMatchEngine, default_backend
 from repro.ontology.registry import OntologyRegistry
 from repro.services.generator import ServiceWorkload, WorkloadShape
 
@@ -70,9 +66,8 @@ def test_match_scaling_report():
 
     metrics: dict[str, object] = {}
     lines = [
-        f"backend (auto) = {default_backend()}",
         f"{'capabilities':>12} {'scalar ms':>12} {'batch ms':>12} "
-        f"{'stdlib ms':>12} {'speedup':>9} {'pruned %':>9}",
+        f"{'speedup':>9} {'pruned %':>9}",
     ]
     batch_series: dict[int, float] = {}
     scalar_series: dict[int, float] = {}
@@ -95,18 +90,9 @@ def test_match_scaling_report():
         batch_series[size] = batch_s
         metrics[f"batch_s_{size}"] = batch_s
 
-        engine_stdlib = BatchMatchEngine(
-            {eid: cap for eid, (cap, _uri) in batch_dir._entries.items()},
-            batch_dir._lookup,
-            backend="stdlib",
+        _pairs, qstats = batch_dir._batch_engine().match_capability(
+            request.capabilities[0], batch_dir._lookup
         )
-        requested = request.capabilities[0]
-        stdlib_s = _mean_query_seconds(
-            lambda: engine_stdlib.match_capability(requested, batch_dir._lookup),
-            repeats,
-        )
-        metrics[f"stdlib_s_{size}"] = stdlib_s
-        _pairs, qstats = engine_stdlib.match_capability(requested, batch_dir._lookup)
         pruned_pct = 100.0 * qstats.pruned / max(1, qstats.batch_size)
 
         if measure_scalar:
@@ -128,7 +114,7 @@ def test_match_scaling_report():
             scalar_txt = f"{'—':>12}"
         lines.append(
             f"{size:>12} {scalar_txt} {batch_s * 1e3:12.3f} "
-            f"{stdlib_s * 1e3:12.3f} {speedup_txt} {pruned_pct:8.1f}%"
+            f"{speedup_txt} {pruned_pct:8.1f}%"
         )
 
     # --- gates ---------------------------------------------------------
@@ -163,7 +149,6 @@ def test_match_scaling_report():
             "seed": 42,
             "smoke": SMOKE,
             "scalar_cap": SCALAR_CAP,
-            "backend": default_backend(),
         },
         units=units,
     )

@@ -1,10 +1,9 @@
-"""Quality/latency Pareto frontier: staged matchmaker vs every backend.
+"""Quality/latency Pareto frontier of every discovery backend.
 
-A labeled-relevance workload scores all seven discovery backends — the
-semantic directory, flat baseline (indexed and linear), syntactic WSDL
-registry, annotated taxonomy, on-line matchmaker, GiST directory, and the
-multi-phase :class:`~repro.core.matchmaker.StagedMatchmaker` at three
-cutoff points — on the same catalog and query set.  Ground truth comes
+A labeled-relevance workload scores all six discovery backends — the
+semantic directory, flat baseline (packed engine and linear scan),
+syntactic WSDL registry, annotated taxonomy, on-line matchmaker and GiST
+directory — on the same catalog and query set.  Ground truth comes
 from the scalar ``Matcher`` oracle (:mod:`repro.core.quality`): a service
 is relevant when any provided capability matches any requested one, so
 precision/recall are service-level and comparable across backends that
@@ -15,18 +14,16 @@ recall — the axes of the Pareto plot in ``docs/MATCHMAKING.md``.
 
 Gates (hard asserts, also exported for ``obs regress``):
 
-* staged at loose cutoffs returns the exhaustive (flat-linear) ranking
-  **bit for bit** on every query;
-* strict dominance over the on-line matchmaker: equal-or-better recall
-  at ≥ 2× lower p50 (measured on the same query subset — the on-line
-  backend re-reasons per query, so it answers a subsample, as in
-  ``examples/matchmaker_shootout.py``);
-* every staged sweep point keeps perfect precision (stages 2/3 are
-  exact, so cutoffs may drop relevant services but never admit
-  irrelevant ones).
+* ``flat`` (interval index + packed engine) returns the exhaustive
+  (``flat-linear``) ranking **bit for bit** on every query;
+* strict dominance of the ``semantic`` directory over the on-line
+  matchmaker: equal-or-better recall at ≥ 2× lower p50 (measured on the
+  same query subset — the on-line backend re-reasons per query, so it
+  answers a subsample, as in ``examples/matchmaker_shootout.py``);
+* ``semantic`` and ``flat`` keep perfect precision and recall.
 
 Smoke mode (``REPRO_BENCH_SMOKE=1``) shrinks the catalog and the
-on-line subsample; the sweep itself is identical.
+on-line subsample; the backends and gates are identical.
 """
 
 from __future__ import annotations
@@ -38,8 +35,6 @@ import time
 from benchmarks._report import save_report, series_table
 from repro.core.codes import CodeTable
 from repro.core.directory import FlatDirectory, SemanticDirectory
-from repro.core.matchmaker import StageCutoffs, StagedMatchmaker
-from repro.core.packed import default_backend
 from repro.core.quality import mean_scores, relevant_services, score_answer
 from repro.ontology.generator import OntologyShape
 from repro.ontology.registry import OntologyRegistry
@@ -61,14 +56,8 @@ UNRELATED_QUERIES = 4
 #: the full set minutes of wall-clock; the gate compares on this subset).
 ONLINE_SUBSET = 3 if SMOKE else 6
 SPEEDUP_FLOOR = 2.0
-
-#: The cutoff sweep: loose reproduces the exhaustive ranking; the tighter
-#: points trade recall for latency (docs/MATCHMAKING.md §cutoffs).
-SWEEP = [
-    ("staged-loose", StageCutoffs()),
-    ("staged-top10", StageCutoffs(top_k=10)),
-    ("staged-strict", StageCutoffs(top_k=5, min_overlap=1, stage2_keep=20)),
-]
+#: Backends whose answers must be exact: perfect precision and recall.
+EXACT = ("semantic", "flat")
 
 
 def _measure(backend, requests, repeats: int):
@@ -112,8 +101,6 @@ def test_matchmaker_pareto_report():
         "gist": GistDirectory(table),
         "online": OnlineSemanticRegistry(workload.ontologies),
     }
-    for name, cutoffs in SWEEP:
-        backends[name] = StagedMatchmaker(table, cutoffs=cutoffs)
     for backend in backends.values():
         backend.publish_batch(profiles)
 
@@ -147,11 +134,11 @@ def test_matchmaker_pareto_report():
             ]
         )
 
-    # --- gate 1: loose cutoffs == exhaustive ranking, bit for bit -------
+    # --- gate 1: packed engine == exhaustive ranking, bit for bit ------
     for i, request in enumerate(requests):
-        assert answers["staged-loose"][i] == answers["flat-linear"][i], (
-            f"staged-loose diverged from the exhaustive ranking on query {i} "
-            f"({request.uri})"
+        assert answers["flat"][i] == answers["flat-linear"][i], (
+            f"flat (packed engine) diverged from the exhaustive ranking on "
+            f"query {i} ({request.uri})"
         )
 
     # --- gate 2: strict dominance over the on-line matchmaker ----------
@@ -162,38 +149,36 @@ def test_matchmaker_pareto_report():
                 for i, rows in enumerate(answers[name][:ONLINE_SUBSET])
             ]
         )
-        for name in ("staged-loose", "online")
+        for name in ("semantic", "online")
     }
-    staged_subset_p50 = statistics.median(
-        _measure(backends["staged-loose"], online_requests, 3)[1]
+    semantic_subset_p50 = statistics.median(
+        _measure(backends["semantic"], online_requests, 3)[1]
     )
-    speedup = p50["online"] / max(staged_subset_p50, 1e-12)
-    metrics["staged_speedup_vs_online"] = speedup
-    metrics["recall_staged_loose_subset"] = subset_scores["staged-loose"][1]
-    assert subset_scores["staged-loose"][1] >= subset_scores["online"][1], (
-        "staged-loose recall fell below the on-line matchmaker: "
-        f"{subset_scores['staged-loose'][1]:.3f} < {subset_scores['online'][1]:.3f}"
+    speedup = p50["online"] / max(semantic_subset_p50, 1e-12)
+    metrics["semantic_speedup_vs_online"] = speedup
+    metrics["recall_semantic_subset"] = subset_scores["semantic"][1]
+    assert subset_scores["semantic"][1] >= subset_scores["online"][1], (
+        "semantic recall fell below the on-line matchmaker: "
+        f"{subset_scores['semantic'][1]:.3f} < {subset_scores['online'][1]:.3f}"
     )
     assert speedup >= SPEEDUP_FLOOR, (
-        f"staged-loose p50 is only {speedup:.1f}x faster than the on-line "
+        f"semantic p50 is only {speedup:.1f}x faster than the on-line "
         f"matchmaker (floor {SPEEDUP_FLOOR}x)"
     )
 
-    # --- gate 3: cutoffs never cost precision --------------------------
-    for name, _cutoffs in SWEEP:
-        assert metrics[f"precision_{name}"] == 1.0, (
-            f"{name} returned an irrelevant service (precision "
-            f"{metrics[f'precision_{name}']:.3f}) — stages 2/3 must stay exact"
-        )
+    # --- gate 3: the exact backends stay exact --------------------------
+    for name in EXACT:
+        for axis in ("precision", "recall"):
+            value = metrics[f"{axis}_{name}"]
+            assert value == 1.0, f"{name} {axis} is {value:.3f}, not 1.0"
 
     table_text = series_table(
         ["backend", "p50 ms", "precision", "recall", "queries"], rows_out
     )
     lines = [
-        f"catalog: {POPULATION} services, {len(requests)} labeled queries "
-        f"(engine={default_backend()})",
+        f"catalog: {POPULATION} services, {len(requests)} labeled queries",
         table_text,
-        f"staged-loose vs online: {speedup:.1f}x lower p50 at "
+        f"semantic vs online: {speedup:.1f}x lower p50 at "
         f"equal-or-better recall (floor {SPEEDUP_FLOOR}x)",
     ]
     save_report(
@@ -206,7 +191,6 @@ def test_matchmaker_pareto_report():
             "online_subset": ONLINE_SUBSET,
             "seed": SEED,
             "smoke": SMOKE,
-            "backend": default_backend(),
         },
         units={
             name: (

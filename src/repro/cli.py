@@ -625,54 +625,6 @@ def _cmd_dir_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_matchmaker(args: argparse.Namespace) -> int:
-    from repro.core.matchmaker import StageCutoffs, StagedMatchmaker
-
-    root = pathlib.Path(args.workload_dir)
-    table, documents = _load_workload_documents(root)
-    if table is None:
-        print(f"no ontology_*.xml files under {root}", file=sys.stderr)
-        return 2
-    cutoffs = StageCutoffs(
-        top_k=args.top_k,
-        min_overlap=args.min_overlap,
-        stage1_keep=args.stage1_keep,
-        stage2_keep=args.stage2_keep,
-    )
-    matchmaker = StagedMatchmaker(table, cutoffs=cutoffs)
-    for document in documents:
-        profile, _ = profile_from_xml(document)
-        matchmaker.publish(profile)
-    request_paths = sorted(root.glob("request_*.xml"))
-    if args.request is not None:
-        request_paths = [root / args.request]
-        if not request_paths[0].is_file():
-            print(f"no such request file: {request_paths[0]}", file=sys.stderr)
-            return 2
-    if not request_paths:
-        print(f"no request_*.xml files under {root}", file=sys.stderr)
-        return 2
-    print(matchmaker.describe())
-    print(f"cutoffs: {cutoffs}\n")
-    for path in request_paths:
-        request, _ = request_from_xml(path.read_text())
-        rows, stages = matchmaker.query_with_stages(request)
-        print(f"{path.name}: {len(rows)} match(es)")
-        for report in stages:
-            exited = "  [early exit]" if report.early_exit else ""
-            print(
-                f"  {report.stage:>9}: {report.candidates_in:>5} -> "
-                f"{report.candidates_out:<5} {report.elapsed_s * 1e3:7.3f} ms{exited}"
-            )
-        for match in rows[: args.show]:
-            print(
-                f"    d={match.distance:<3} {match.service_uri} "
-                f"({match.capability.name})"
-            )
-        print()
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser (exposed for tests and docs)."""
     parser = argparse.ArgumentParser(
@@ -762,24 +714,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also dump the full per-shard content description",
     )
     dir_stats.set_defaults(func=_cmd_dir_stats)
-
-    matchmaker = subparsers.add_parser(
-        "matchmaker",
-        help="run workload requests through the staged matchmaker and show"
-        " the per-stage candidate funnel (docs/MATCHMAKING.md)",
-    )
-    matchmaker.add_argument("workload_dir", help="output of the 'workload' command")
-    matchmaker.add_argument(
-        "--request", help="one request_*.xml filename (default: all requests)"
-    )
-    matchmaker.add_argument("--top-k", type=int, default=None)
-    matchmaker.add_argument("--min-overlap", type=int, default=0)
-    matchmaker.add_argument("--stage1-keep", type=int, default=None)
-    matchmaker.add_argument("--stage2-keep", type=int, default=None)
-    matchmaker.add_argument(
-        "--show", type=int, default=3, help="matches to print per request (default 3)"
-    )
-    matchmaker.set_defaults(func=_cmd_matchmaker)
 
     trace_report = subparsers.add_parser(
         "trace-report",

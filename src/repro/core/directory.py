@@ -65,27 +65,6 @@ class DirectoryMatch:
     distance: int
 
 
-def _build_staged(table: CodeTable, staged, packed_backend: str | None = None):
-    """Resolve a directory's ``staged=`` opt-in into a matchmaker.
-
-    ``None``/``False`` → off; ``True`` → loose cutoffs (results identical
-    to the directory's own path); a
-    :class:`~repro.core.matchmaker.StageCutoffs` → as given.  Imported
-    lazily: :mod:`repro.core.matchmaker` sits above this module.
-
-    Raises:
-        ValueError: on any other ``staged`` value.
-    """
-    if staged is None or staged is False:
-        return None
-    from repro.core.matchmaker import StageCutoffs, StagedMatchmaker
-
-    cutoffs = None if staged is True else staged
-    if cutoffs is not None and not isinstance(cutoffs, StageCutoffs):
-        raise ValueError(f"staged must be a StageCutoffs or bool, got {staged!r}")
-    return StagedMatchmaker(table, cutoffs=cutoffs, packed_backend=packed_backend)
-
-
 class SemanticDirectory:
     """The §3.3 optimized directory: encoded matching + classified graphs.
 
@@ -97,16 +76,6 @@ class SemanticDirectory:
             :meth:`_candidate_graphs`).
         distance_cache_size: capacity of the shared concept-distance memo;
             0 disables it (every pair recomputed, as in the seed code).
-        staged: opt into the multi-phase matchmaker
-            (:class:`~repro.core.matchmaker.StagedMatchmaker`) for plain
-            (non-annotated) queries: pass ``True`` for loose cutoffs
-            (exhaustive-equivalent results) or a
-            :class:`~repro.core.matchmaker.StageCutoffs` to trade recall
-            for latency.  Publication still classifies into graphs —
-            annotated documents and the graph index keep working — so
-            publish pays for both structures; queries carrying embedded
-            §3.2 codes fall back to the classified path (the staged
-            engine resolves codes from the directory's table only).
     """
 
     def __init__(
@@ -117,14 +86,12 @@ class SemanticDirectory:
         summary_hashes: int = 4,
         preselection: str = "superset",
         distance_cache_size: int = DEFAULT_MAXSIZE,
-        staged: "StageCutoffs | bool | None" = None,
     ) -> None:
         if preselection not in ("superset", "intersection"):
             raise ValueError(f"unknown preselection {preselection!r}")
         self.table = table
         self.query_mode = query_mode
         self.preselection = preselection
-        self._staged = _build_staged(table, staged)
         self.summary = DirectorySummary(m=summary_bits, k=summary_hashes)
         self._graphs: dict[frozenset[str], CapabilityDag] = {}
         self._profiles: dict[str, ServiceProfile] = {}
@@ -148,28 +115,18 @@ class SemanticDirectory:
 
     @obs.setter
     def obs(self, value) -> None:
-        """Propagate the sink to every capability graph (and the staged
-        matchmaker when the opt-in mode is on)."""
+        """Propagate the sink to every capability graph."""
         self._obs = value
         for graph in self._graphs.values():
             graph.obs = value
-        if self._staged is not None:
-            self._staged.obs = value
 
     def export_metrics(self) -> None:
         """Mirror the directory's accumulated counters (matcher stats,
         distance-cache stats) into the observability metric registry.
-        Pull-based: traced runs call this right before flushing sinks.
-        In staged mode the matchmaker's counters fold in — classified
-        publishes and staged queries report as one directory."""
+        Pull-based: traced runs call this right before flushing sinks."""
         obs = self._obs
-        matches = self.stats.capability_matches
-        comparisons = self.stats.concept_comparisons
-        if self._staged is not None:
-            matches += self._staged.stats.capability_matches
-            comparisons += self._staged.stats.concept_comparisons
-        obs.counter("dir.capability_matches").set(matches)
-        obs.counter("dir.concept_comparisons").set(comparisons)
+        obs.counter("dir.capability_matches").set(self.stats.capability_matches)
+        obs.counter("dir.concept_comparisons").set(self.stats.concept_comparisons)
         cache = self.distance_cache
         if cache is not None:
             cache.stats.publish_to(obs.metrics, "dir.distance_cache")
@@ -318,8 +275,6 @@ class SemanticDirectory:
                 graph.insert(capability, profile.uri, matcher)
                 self.summary.add_capability(capability)
         self._profiles[profile.uri] = profile
-        if self._staged is not None:
-            self._staged.publish(profile)
         if self._obs.enabled:
             self._obs.counter("dir.publishes").inc()
 
@@ -336,8 +291,6 @@ class SemanticDirectory:
         profile = self._profiles.pop(service_uri, None)
         if profile is None:
             return 0
-        if self._staged is not None:
-            self._staged.unpublish(service_uri)
         removed = 0
         for key in {capability.ontologies() for capability in profile.provided}:
             graph = self._graphs.get(key)
@@ -409,8 +362,6 @@ class SemanticDirectory:
             with obs.span("query.encode") if obs.enabled else nullcontext():
                 with self.timer.phase("encode"):
                     extra = self.table.resolve_annotations(annotations.codes, annotations.version)
-        if self._staged is not None and not extra:
-            return self._staged.query(request)
         return self._query(request, self._matcher(extra, query=True))
 
     def query(
@@ -422,20 +373,14 @@ class SemanticDirectory:
         ``extra_codes`` carries pre-resolved embedded request codes (the
         parse-once protocol fast path resolves a document's annotations
         once and reuses them here, instead of re-parsing per query via
-        :meth:`query_xml`).  In staged mode, plain requests route through
-        the multi-phase matchmaker; embedded codes force the classified
-        path (see the constructor docs).
+        :meth:`query_xml`).
         """
-        if self._staged is not None and not extra_codes:
-            return self._staged.query(request)
         return self._query(request, self._matcher(extra_codes, query=True))
 
     def query_batch(self, requests: Iterable[ServiceRequest]) -> list[list[DirectoryMatch]]:
         """Answer many requests with one matcher; returns per-request
         results in order.  Amortizes matcher setup and keeps the shared
         distance cache hot across the whole batch."""
-        if self._staged is not None:
-            return self._staged.query_batch(requests)
         matcher = self._matcher(None, query=True)
         return [self._query(request, matcher) for request in requests]
 
@@ -475,8 +420,6 @@ class SemanticDirectory:
             f"{self.graph_count} ontology-indexed graphs, "
             f"{self.preselection} preselection"
         )
-        if self._staged is not None:
-            index += "; staged matchmaker on plain queries"
         return {
             "kind": type(self).__name__,
             "services": len(self),
@@ -570,25 +513,13 @@ class FlatDirectory:
             the number of matcher evaluations changes.  The Fig. 9 "flat"
             baseline disables this to keep the paper's linear scan.
         use_batch_engine: answer queries with the packed batch engine
-            (:class:`~repro.core.packed.BatchMatchEngine`): the request's
-            concept set is tested against all cached rows in one
-            vectorized containment pass, and survivors are ranked by
-            segmented reductions instead of per-entry scalar matching.
-            Results are identical to the scalar path (property-tested for
-            both the numpy and stdlib backends).  ``None`` (default)
-            follows ``use_interval_index``, so the paper's linear-scan
-            baseline stays scalar.
-        packed_backend: pin the batch engine to a specific backend
-            (``"numpy"``/``"stdlib"``) instead of auto-detecting.  Tests
-            use this to exercise both implementations in one process —
-            ``REPRO_PACKED_BACKEND`` is read once at import time, so the
-            environment variable cannot vary per directory.
-        staged: opt into the multi-phase matchmaker
-            (:class:`~repro.core.matchmaker.StagedMatchmaker`) for all
-            queries: ``True`` for loose cutoffs (results identical to the
-            directory's own path, bit for bit) or a
-            :class:`~repro.core.matchmaker.StageCutoffs` to trade recall
-            for latency.
+            (:class:`~repro.core.packed.BatchMatchEngine`): each requested
+            concept's subsumers come from one interval-index stab, a
+            postings intersection prunes the entries, and survivors are
+            ranked by segmented sums instead of per-entry scalar matching.
+            Results are identical to the scalar path (property-tested).
+            ``None`` (default) follows ``use_interval_index``, so the
+            paper's linear-scan baseline stays scalar.
     """
 
     def __init__(
@@ -596,13 +527,9 @@ class FlatDirectory:
         table: CodeTable,
         use_interval_index: bool = True,
         use_batch_engine: bool | None = None,
-        packed_backend: str | None = None,
-        staged: "StageCutoffs | bool | None" = None,
     ) -> None:
         self.table = table
-        self._staged = _build_staged(table, staged, packed_backend)
         self.use_interval_index = use_interval_index
-        self.packed_backend = packed_backend
         self.use_batch_engine = (
             use_interval_index if use_batch_engine is None else use_batch_engine
         )
@@ -617,23 +544,13 @@ class FlatDirectory:
         self._epoch = 0
         self._engine: BatchMatchEngine | None = None
         self._engine_key: tuple | None = None
-        self._obs = NULL_OBS
+        #: The observability sink for this directory (NULL_OBS when off).
+        self.obs = NULL_OBS
         self.timer = PhaseTimer()
         self.stats = MatcherStats()
 
     def __len__(self) -> int:
         return len(self._profiles)
-
-    @property
-    def obs(self):
-        """The observability sink for this directory (NULL_OBS when off)."""
-        return self._obs
-
-    @obs.setter
-    def obs(self, value) -> None:
-        self._obs = value
-        if self._staged is not None:
-            self._staged.obs = value
 
     @property
     def capability_count(self) -> int:
@@ -662,8 +579,6 @@ class FlatDirectory:
             entry_ids.append(entry_id)
             if self._index is not None:
                 self._index.insert(entry_id, capability, lookup)
-        if self._staged is not None:
-            self._staged.publish(profile)
 
     def publish_batch(self, profiles: Iterable[ServiceProfile]) -> int:
         """Cache many advertisements; returns the count."""
@@ -695,22 +610,15 @@ class FlatDirectory:
             if self._index is not None:
                 self._index.discard(entry_id)
         self._profiles.pop(service_uri, None)
-        if self._staged is not None:
-            self._staged.unpublish(service_uri)
         return len(entry_ids)
 
     def query(self, request: ServiceRequest) -> list[DirectoryMatch]:
-        """Match cached capabilities against every requested one (via the
-        multi-phase matchmaker in staged mode)."""
-        if self._staged is not None:
-            return self._staged.query(request)
+        """Match cached capabilities against every requested one."""
         matcher = CodeMatcher(table=self.table, stats=self.stats)
         return self._query(request, matcher)
 
     def query_batch(self, requests: Iterable[ServiceRequest]) -> list[list[DirectoryMatch]]:
         """Answer many requests with one matcher; per-request results."""
-        if self._staged is not None:
-            return self._staged.query_batch(requests)
         matcher = CodeMatcher(table=self.table, stats=self.stats)
         return [self._query(request, matcher) for request in requests]
 
@@ -721,9 +629,7 @@ class FlatDirectory:
         key = (self._epoch, id(self.table), self.table.version)
         if self._engine is None or self._engine_key != key:
             entries = {eid: cap for eid, (cap, _uri) in self._entries.items()}
-            self._engine = BatchMatchEngine(
-                entries, self._lookup, backend=self.packed_backend
-            )
+            self._engine = BatchMatchEngine(entries, self._lookup)
             self._engine_key = key
         return self._engine
 
@@ -754,14 +660,14 @@ class FlatDirectory:
         """Answer via the packed batch engine (identical results to the
         scalar path; only the evaluation strategy changes)."""
         results: list[DirectoryMatch] = []
-        obs = self._obs
+        obs = self.obs
         with self.timer.phase("match"):
             engine = self._batch_engine()
             for requested in request.capabilities:
                 pairs, qstats = engine.match_capability(requested, self._lookup)
                 self.stats.capability_matches += qstats.evaluated
                 if obs.enabled:
-                    obs.counter("match.batch_queries", backend=engine.backend).inc()
+                    obs.counter("match.batch_queries").inc()
                     obs.histogram("match.batch_size").observe(qstats.batch_size)
                     obs.counter("match.candidates_pruned").inc(qstats.pruned)
                 hits = []
@@ -775,16 +681,10 @@ class FlatDirectory:
     def export_metrics(self) -> None:
         """Mirror matcher counters and interval-index health (pending
         tombstones, rebuilds paid) into the obs metric registry.
-        Pull-based, like :meth:`SemanticDirectory.export_metrics`.  In
-        staged mode the matchmaker's counters fold in."""
-        obs = self._obs
-        matches = self.stats.capability_matches
-        comparisons = self.stats.concept_comparisons
-        if self._staged is not None:
-            matches += self._staged.stats.capability_matches
-            comparisons += self._staged.stats.concept_comparisons
-        obs.counter("dir.capability_matches").set(matches)
-        obs.counter("dir.concept_comparisons").set(comparisons)
+        Pull-based, like :meth:`SemanticDirectory.export_metrics`."""
+        obs = self.obs
+        obs.counter("dir.capability_matches").set(self.stats.capability_matches)
+        obs.counter("dir.concept_comparisons").set(self.stats.concept_comparisons)
         if self._index is not None:
             obs.counter("index.tombstones").set(self._index.tombstones)
             obs.counter("index.rebuilds").set(self._index.rebuilds)
@@ -794,14 +694,11 @@ class FlatDirectory:
         ``kind``/``services``/``capability_count``/``index``)."""
         index = "interval-indexed" if self.use_interval_index else "linear-scan"
         engine = "packed engine" if self.use_batch_engine else "scalar matcher"
-        detail = f"{index}, {engine}"
-        if self._staged is not None:
-            detail += "; staged matchmaker"
         return {
             "kind": type(self).__name__,
             "services": len(self),
             "capability_count": self.capability_count,
-            "index": detail,
+            "index": f"{index}, {engine}",
         }
 
     def describe(self) -> str:

@@ -34,11 +34,6 @@ from bisect import bisect_left, bisect_right
 from repro.core.codes import ConceptCode
 from repro.services.profile import Capability
 
-try:  # optional vectorized stab backend (see repro.core.packed)
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-less installs
-    _np = None
-
 #: Deferred-rebuild trigger: a rebuild is scheduled once more than this
 #: many *and* more than half of the distinct interval nodes are empty
 #: tombstones.  Below the threshold, discards are O(intervals of the item)
@@ -88,8 +83,6 @@ class IntervalIndex:
         self._root_his: list[float] = []
         self._node_by_interval: dict[tuple[float, float], _Node] = {}
         self._nodes: list[_Node] = []
-        self._np_los = None
-        self._np_his = None
         self._stale_nodes = 0
         self._dirty = False
         self.rebuilds = 0
@@ -186,8 +179,6 @@ class IntervalIndex:
         nodes.sort(key=lambda n: (n.lo, -n.hi))
         self._nodes = nodes
         self._node_by_interval = {(n.lo, n.hi): n for n in nodes}
-        self._np_los = None
-        self._np_his = None
         self._stale_nodes = 0
         self._roots = []
         stack: list[_Node] = []
@@ -234,38 +225,6 @@ class IntervalIndex:
                 if node.children:
                     work.append((node.children, node.child_los, node.child_his))
         return result
-
-    def stab_batch(self, queries: list[tuple[float, float]]) -> list[set[int]]:
-        """One stab result per ``(lo, hi)`` query, in order.
-
-        With numpy available, the whole batch is answered by comparison
-        masks over the packed node-bound columns instead of per-query
-        NCList walks; the stdlib fallback loops :meth:`stab`.  Results are
-        identical by construction (both implement ``ilo <= lo and
-        hi <= ihi`` over the same node set).
-        """
-        if not queries:
-            return []
-        if self._dirty:
-            self._rebuild()
-        if _np is None or not self._nodes:
-            return [self.stab(lo, hi) for lo, hi in queries]
-        if self._np_los is None:
-            self._np_los = _np.fromiter(
-                (n.lo for n in self._nodes), dtype=_np.float64, count=len(self._nodes)
-            )
-            self._np_his = _np.fromiter(
-                (n.hi for n in self._nodes), dtype=_np.float64, count=len(self._nodes)
-            )
-        results: list[set[int]] = []
-        nodes = self._nodes
-        for lo, hi in queries:
-            hit_rows = _np.flatnonzero((self._np_los <= lo) & (hi <= self._np_his))
-            hits: set[int] = set()
-            for row in hit_rows.tolist():
-                hits |= nodes[row].ids
-            results.append(hits)
-        return results
 
 
 class CandidateIndex:
@@ -365,15 +324,11 @@ class CandidateIndex:
             (requested.outputs, self._outputs, self._unindexed_outputs),
             (requested.properties, self._properties, self._unindexed_properties),
         ):
-            if not concepts:
-                continue
-            queries: list[tuple[float, float]] = []
             for concept in concepts:
                 code: ConceptCode | None = lookup(concept) if lookup is not None else None
                 if code is None:
                     return set()
-                queries.append((code.tree_lo, code.tree_hi))
-            for hits in index.stab_batch(queries):
+                hits = index.stab(code.tree_lo, code.tree_hi)
                 if unindexed:
                     hits = hits | unindexed
                 result = hits if result is None else result & hits

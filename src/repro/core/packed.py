@@ -1,38 +1,26 @@
-"""Packed code tables and the vectorized batch matching engine.
+"""Packed code tables and the batch matching engine.
 
-The §3.2 insight — subsumption is interval containment — makes matching
-*data-parallel*: one request concept can be tested against every cached
-provider concept with two comparisons per code interval, and the per-entry
-``Match``/``SemanticDistance`` aggregation of §2.3 reduces to segmented
-min/sum over flat incidence arrays.  This module packs a directory's
-content into contiguous columns once per content epoch and answers each
-query in a handful of passes over those columns, replacing the per-entry
-``Matcher.match_outcome`` loop (``docs/PERFORMANCE.md`` has the layout and
-the scaling curve; ``benchmarks/bench_match_scaling.py`` gates the
-speedup).
+The §3.2 insight — subsumption is interval containment — lets one request
+concept be tested against every cached provider concept at once: a stab
+of an interval index over the providers' code intervals returns all of
+its subsumers, and the per-entry ``Match``/``SemanticDistance``
+aggregation of §2.3 reduces to segmented min/sum over flat incidence
+arrays.  This module packs a directory's content into contiguous columns
+once per content epoch and answers each query in a handful of passes over
+those columns, replacing the per-entry ``Matcher.match_outcome`` loop
+(``docs/PERFORMANCE.md`` has the layout and the scaling curve;
+``benchmarks/bench_match_scaling.py`` gates the speedup).
 
-Two interchangeable backends produce identical results:
-
-* **numpy** — columns are ``ndarray``s; containment is a boolean mask over
-  the flattened code rows and per-entry aggregation uses
-  ``ufunc.reduceat`` over the incidence offsets (one fused pass, no
-  per-entry Python).
-* **stdlib** — columns are ``array``-module arrays; containment reuses the
-  NCList stab of :class:`~repro.core.interval_index.IntervalIndex` at the
-  *concept* level and a postings-list intersection prunes the entries that
-  ever reach the Python ranking loop (a staged prefilter in the spirit of
-  the three-phase matchmakers).
-
-Backend selection is automatic at import (numpy when importable) and can
-be forced with ``REPRO_PACKED_BACKEND=numpy|stdlib|auto`` or per engine
-via the ``backend`` argument.  The hypothesis suite in
-``tests/core/test_packed.py`` asserts both backends return bitwise-
-identical match sets and distances to the scalar matcher.
+Columns are ``array``-module arrays.  Containment uses the NCList stab of
+:class:`~repro.core.interval_index.IntervalIndex` at the *concept* level,
+and a postings-list intersection prunes the entries that ever reach the
+Python ranking loop.  The hypothesis suite in
+``tests/core/test_packed.py`` asserts the engine returns bitwise-identical
+match sets and distances to the scalar matcher.
 """
 
 from __future__ import annotations
 
-import os
 from array import array
 from dataclasses import dataclass
 
@@ -40,69 +28,23 @@ from repro.core.codes import ConceptCode
 from repro.core.interval_index import IntervalIndex
 from repro.services.profile import Capability
 
-_INF = float("inf")
-
-try:  # optional accelerator; the stdlib fallback is always available
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-less installs
-    _np = None
-
-#: Environment override for backend auto-detection (read at import).
-_ENV_BACKEND = os.environ.get("REPRO_PACKED_BACKEND", "auto").strip().lower()
-
-
-def have_numpy() -> bool:
-    """True when the numpy backend is importable in this process."""
-    return _np is not None
-
-
-def resolve_backend(backend: str | None = None) -> str:
-    """Resolve a backend request to ``"numpy"`` or ``"stdlib"``.
-
-    ``None``/``"auto"`` pick numpy when available (unless the
-    ``REPRO_PACKED_BACKEND`` environment variable forces the fallback).
-
-    Raises:
-        ValueError: on unknown names, or ``"numpy"`` without numpy.
-    """
-    choice = (backend or _ENV_BACKEND or "auto").strip().lower()
-    if choice == "auto":
-        return "numpy" if have_numpy() else "stdlib"
-    if choice == "numpy":
-        if not have_numpy():
-            raise ValueError("numpy backend requested but numpy is not importable")
-        return "numpy"
-    if choice == "stdlib":
-        return "stdlib"
-    raise ValueError(f"unknown packed backend {choice!r} (numpy|stdlib|auto)")
-
-
-def default_backend() -> str:
-    """The backend engines use when none is requested explicitly."""
-    return resolve_backend(None)
-
 
 class PackedCodeTable:
     """Columnar packing of a concept set's interval codes.
 
-    The distinct concepts referenced by a directory's entries are laid out
-    as parallel columns: per concept its depth, and — flattened across all
-    concepts — one ``(lo, hi, owner)`` row per code interval.  A request
-    concept's subsumers (provider concepts whose merged code contains the
-    request's tree interval) then come from one comparison pass over the
-    flat rows (numpy) or one NCList stab (stdlib); merged code unions make
-    the owner of each containing row unique, so no deduplication is
-    needed.
+    The distinct concepts referenced by a directory's entries are numbered,
+    with per concept its depth, and their code intervals are indexed in one
+    NCList keyed by concept number.  A request concept's subsumers
+    (provider concepts whose merged code contains the request's tree
+    interval) then come from one stab; merged code unions make the owner
+    of each containing interval unique, so no deduplication is needed.
     """
 
-    def __init__(self, concepts: list[str], lookup, backend: str) -> None:
-        self.backend = backend
+    def __init__(self, concepts: list[str], lookup) -> None:
         self.uris: list[str] = []
         self.index: dict[str, int] = {}
-        depths = array("q")
-        code_lo = array("d")
-        code_hi = array("d")
-        code_owner = array("q")
+        self.depth = array("q")
+        self._stab_index = IntervalIndex()
         for uri in concepts:
             code: ConceptCode | None = lookup(uri) if lookup is not None else None
             if code is None:
@@ -110,25 +52,8 @@ class PackedCodeTable:
             concept_index = len(self.uris)
             self.index[uri] = concept_index
             self.uris.append(uri)
-            depths.append(code.depth)
-            for lo, hi in code.code:
-                code_lo.append(lo)
-                code_hi.append(hi)
-                code_owner.append(concept_index)
-        if backend == "numpy":
-            self.depth = _np.asarray(depths, dtype=_np.int64)
-            self._code_lo = _np.asarray(code_lo, dtype=_np.float64)
-            self._code_hi = _np.asarray(code_hi, dtype=_np.float64)
-            self._code_owner = _np.asarray(code_owner, dtype=_np.int64)
-            self._stab_index = None
-        else:
-            self.depth = depths
-            per_concept: dict[int, list[tuple[float, float]]] = {}
-            for row, owner in enumerate(code_owner):
-                per_concept.setdefault(owner, []).append((code_lo[row], code_hi[row]))
-            self._stab_index = IntervalIndex()
-            for owner, intervals in per_concept.items():
-                self._stab_index.insert(owner, tuple(intervals))
+            self.depth.append(code.depth)
+            self._stab_index.insert(concept_index, code.code)
 
     def __len__(self) -> int:
         return len(self.uris)
@@ -136,11 +61,6 @@ class PackedCodeTable:
     def subsumer_distances(self, code: ConceptCode) -> dict[int, int]:
         """``{concept index: §2.3 distance}`` for every packed concept
         whose code contains ``code``'s tree interval (i.e. subsumes it)."""
-        if self.backend == "numpy":
-            mask = (self._code_lo <= code.tree_lo) & (code.tree_hi <= self._code_hi)
-            owners = self._code_owner[mask]
-            dists = _np.maximum(0, code.depth - self.depth[owners])
-            return dict(zip(owners.tolist(), dists.tolist()))
         hits = self._stab_index.stab(code.tree_lo, code.tree_hi)
         return {owner: max(0, code.depth - self.depth[owner]) for owner in hits}
 
@@ -171,7 +91,7 @@ class _Field:
 
 
 class BatchMatchEngine:
-    """Vectorized ``Match``/``SemanticDistance`` over packed entries.
+    """Batched ``Match``/``SemanticDistance`` over packed entries.
 
     Built from a directory's cached entries and a concept-code ``lookup``
     (the same resolution the scalar :class:`~repro.core.matching.CodeMatcher`
@@ -183,19 +103,15 @@ class BatchMatchEngine:
     Args:
         entries: ``{entry_id: Capability}`` of the cached advertisements.
         lookup: concept URI → :class:`ConceptCode` or ``None``.
-        backend: force ``"numpy"``/``"stdlib"``; default auto-detect.
     """
 
     #: Concept index standing in for "no code known" occurrences.
     _UNKNOWN = -1
 
-    def __init__(
-        self, entries: dict[int, Capability], lookup, backend: str | None = None
-    ) -> None:
-        self.backend = resolve_backend(backend)
+    def __init__(self, entries: dict[int, Capability], lookup) -> None:
         self.entry_ids: list[int] = list(entries)
         concepts = sorted({c for cap in entries.values() for c in cap.concepts()})
-        self.codes = PackedCodeTable(concepts, lookup, self.backend)
+        self.codes = PackedCodeTable(concepts, lookup)
         caps = [entries[entry_id] for entry_id in self.entry_ids]
         self._inputs = self._pack_field(caps, "inputs", postings=False)
         self._outputs = self._pack_field(caps, "outputs", postings=True)
@@ -218,12 +134,6 @@ class BatchMatchEngine:
                     if not rows or rows[-1] != position:
                         rows.append(position)
             offsets.append(len(idx))
-        if self.backend == "numpy":
-            return _Field(
-                _np.asarray(idx, dtype=_np.int64),
-                _np.asarray(offsets, dtype=_np.int64),
-                posting_lists,
-            )
         return _Field(idx, offsets, posting_lists)
 
     # ------------------------------------------------------------------
@@ -240,7 +150,7 @@ class BatchMatchEngine:
         Returns ``([(entry_id, distance), ...], stats)``; the pair list is
         in packed-entry order (callers sort by their own ranking key).
         Results are value-identical to running the scalar matcher over
-        every entry — the property suite proves it for both backends.
+        every entry — the property suite proves it.
         """
         n = len(self.entry_ids)
         if n == 0:
@@ -265,61 +175,12 @@ class BatchMatchEngine:
                     input_best[owner] = dist
         out_maps = [self.codes.subsumer_distances(code) for code in out_codes]
         prop_maps = [self.codes.subsumer_distances(code) for code in prop_codes]
-        if self.backend == "numpy":
-            return self._match_numpy(n, input_best, out_maps, prop_maps)
-        return self._match_stdlib(n, input_best, out_maps, prop_maps)
+        return self._rank(n, input_best, out_maps, prop_maps)
 
     # ------------------------------------------------------------------
-    # numpy backend: fused containment + ranking via segmented reductions
+    # Postings prefilter, then ranking over the survivors
     # ------------------------------------------------------------------
-    def _concept_vector(self, mapping: dict[int, int]):
-        """Distance-per-concept vector with an inf sentinel row for
-        unknown occurrences (index -1 wraps to the last slot)."""
-        vector = _np.full(len(self.codes) + 1, _INF)
-        if mapping:
-            vector[_np.fromiter(mapping, dtype=_np.int64, count=len(mapping))] = (
-                _np.fromiter(mapping.values(), dtype=_np.float64, count=len(mapping))
-            )
-        return vector
-
-    @staticmethod
-    def _segment_reduce(ufunc, values, offsets, empty_value: float):
-        """Per-entry ``ufunc`` reduction over flattened segment values.
-
-        ``reduceat`` misbehaves on empty segments (it returns the next
-        segment's first element) and rejects offsets equal to ``len``;
-        appending one sentinel and overriding empty segments fixes both.
-        """
-        starts = offsets[:-1]
-        counts = offsets[1:] - starts
-        padded = _np.append(values, empty_value)
-        reduced = ufunc.reduceat(padded, starts)
-        return _np.where(counts == 0, empty_value, reduced)
-
-    def _match_numpy(self, n, input_best, out_maps, prop_maps):
-        add, minimum = _np.add, _np.minimum
-        in_vals = self._concept_vector(input_best)[self._inputs.idx]
-        total = self._segment_reduce(add, in_vals, self._inputs.offsets, 0.0)
-        gate = _np.zeros(n)
-        for field, maps in ((self._outputs, out_maps), (self._properties, prop_maps)):
-            for mapping in maps:
-                vals = self._concept_vector(mapping)[field.idx]
-                best = self._segment_reduce(minimum, vals, field.offsets, _INF)
-                gate = gate + best
-        candidates = int(_np.isfinite(gate).sum())
-        total = total + gate
-        matched = _np.flatnonzero(_np.isfinite(total))
-        pairs = [
-            (self.entry_ids[pos], int(total[pos])) for pos in matched.tolist()
-        ]
-        return pairs, BatchQueryStats(
-            batch_size=n, pruned=n - candidates, evaluated=candidates
-        )
-
-    # ------------------------------------------------------------------
-    # stdlib backend: postings prefilter, then ranking over survivors
-    # ------------------------------------------------------------------
-    def _match_stdlib(self, n, input_best, out_maps, prop_maps):
+    def _rank(self, n, input_best, out_maps, prop_maps):
         candidates: set[int] | None = None
         for field, maps in ((self._outputs, out_maps), (self._properties, prop_maps)):
             postings = field.postings
@@ -375,5 +236,5 @@ class BatchMatchEngine:
     def __repr__(self) -> str:
         return (
             f"BatchMatchEngine({len(self.entry_ids)} entries, "
-            f"{len(self.codes)} concepts, backend={self.backend})"
+            f"{len(self.codes)} concepts)"
         )

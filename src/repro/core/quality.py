@@ -1,7 +1,6 @@
 """Retrieval-quality scoring for discovery backends.
 
-The staged matchmaker (:mod:`repro.core.matchmaker`) trades recall for
-latency through its stage cutoffs; quantifying the trade needs labeled
+Comparing backends on quality as well as latency needs labeled
 relevance.  This module derives the labels from the system's own ground
 truth: the scalar :class:`~repro.core.matching.Matcher` oracle — the §2.3
 reference every engine (interval index, packed batch, gist, shards) is
@@ -13,10 +12,10 @@ set.
 Scoring is service-level (not capability-level) on purpose: the syntactic
 WSDL baseline returns bare service URIs with no capability detail, and the
 paper's user-facing question is "which services can serve me" — so the
-coarsest common denominator is the fair comparison across all seven
+coarsest common denominator is the fair comparison across all six
 backends.  ``benchmarks/bench_matchmaker_pareto.py`` uses these helpers to
-sweep the cutoff knob and trace the precision/recall-vs-latency frontier
-(methodology in ``docs/MATCHMAKING.md``).
+trace the precision/recall-vs-latency frontier (methodology in
+``docs/MATCHMAKING.md``).
 """
 
 from __future__ import annotations

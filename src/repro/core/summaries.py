@@ -16,14 +16,8 @@ increase in false positives; the E10 benchmark quantifies both.
 
 from __future__ import annotations
 
-from repro.core.packed import have_numpy, resolve_backend
 from repro.services.profile import Capability, ServiceRequest
 from repro.util.bloom import BloomFilter, CountingBloomFilter, item_mask
-
-try:  # optional accelerator for the packed-word bank
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-less installs
-    _np = None
 
 #: Default summary parameters; E10 sweeps them.
 DEFAULT_BITS = 512
@@ -142,14 +136,6 @@ class DirectorySummary:
         return f"DirectorySummary({backing!r})"
 
 
-_WORD_BITS = 64
-_WORD_MASK = (1 << _WORD_BITS) - 1
-
-
-def _pack_words(bits: int, n_words: int) -> list[int]:
-    return [(bits >> (w * _WORD_BITS)) & _WORD_MASK for w in range(n_words)]
-
-
 class SummaryBank:
     """Batch admission tests of one request against many peer summaries.
 
@@ -159,15 +145,10 @@ class SummaryBank:
     parameters — never on the peer — so the bank groups the peer filters
     by ``(m, k)``, hashes each request item once per group into a bit
     mask, and answers "which peers might hold a match" with one bitwise
-    subset test per (peer, item).
-
-    With numpy the per-group bit vectors are packed into a
-    ``peers × words`` ``uint64`` matrix and each item mask is tested
-    against *all* peers in one vectorized comparison; the stdlib fallback
-    runs the same subset test over Python integers.  Both give exactly
-    :meth:`DirectorySummary.might_answer`'s verdict per peer (the test
-    suite proves it), including its false positives — the bank changes
-    the cost, never the decision.
+    subset test per (peer, item) over the filters' Python-integer bits.
+    The verdicts are exactly :meth:`DirectorySummary.might_answer`'s per
+    peer (the test suite proves it), including its false positives — the
+    bank changes the cost, never the decision.
 
     A bank snapshot is immutable: build it from the current
     ``peer_summaries`` and rebuild when that mapping changes (callers key
@@ -175,38 +156,20 @@ class SummaryBank:
     ``DirectoryProtocol.summaries_admitting``).
     """
 
-    def __init__(
-        self, summaries: dict[int, BloomFilter], backend: str | None = None
-    ) -> None:
-        self.backend = resolve_backend(backend)
-        if self.backend == "numpy" and not have_numpy():  # pragma: no cover
-            self.backend = "stdlib"
-        #: (m, k) -> (peer ids, per-peer bit ints or packed word matrix)
-        self._groups: dict[tuple[int, int], tuple[list[int], object]] = {}
-        grouped: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    def __init__(self, summaries: dict[int, BloomFilter]) -> None:
+        #: (m, k) -> (peer ids, per-peer filter bits in the same order)
+        self._groups: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
         for peer_id, bloom in summaries.items():
-            grouped.setdefault((bloom.m, bloom.k), []).append((peer_id, bloom.bits))
-        for (m, k), members in grouped.items():
-            peer_ids = [peer_id for peer_id, _bits in members]
-            if self.backend == "numpy":
-                n_words = (m + _WORD_BITS - 1) // _WORD_BITS
-                matrix = _np.array(
-                    [_pack_words(bits, n_words) for _peer, bits in members],
-                    dtype=_np.uint64,
-                ).reshape(len(members), n_words)
-                self._groups[(m, k)] = (peer_ids, matrix)
-            else:
-                self._groups[(m, k)] = (peer_ids, [bits for _peer, bits in members])
+            peer_ids, bits = self._groups.setdefault((bloom.m, bloom.k), ([], []))
+            peer_ids.append(peer_id)
+            bits.append(bloom.bits)
 
     def __len__(self) -> int:
-        return sum(len(peer_ids) for peer_ids, _packed in self._groups.values())
+        return sum(len(peer_ids) for peer_ids, _bits in self._groups.values())
 
-    def _contains_vec(self, packed, m: int, mask: int):
+    @staticmethod
+    def _contains(packed: list[int], mask: int) -> list[bool]:
         """Per-peer membership of one item mask (group-local order)."""
-        if self.backend == "numpy":
-            n_words = packed.shape[1]
-            mask_words = _np.array(_pack_words(mask, n_words), dtype=_np.uint64)
-            return ((packed & mask_words) == mask_words).all(axis=1)
         return [bits & mask == mask for bits in packed]
 
     def might_hold(self, capability: Capability) -> dict[int, bool]:
@@ -224,22 +187,16 @@ class SummaryBank:
         for (m, k), (peer_ids, packed) in self._groups.items():
             # Whole-set hash, then the subset fallback: every individual
             # ontology URI present (mirrors DirectorySummary.might_hold).
-            hold = self._contains_vec(packed, m, item_mask(canon, m, k))
+            hold = self._contains(packed, item_mask(canon, m, k))
             all_uris = None
             for uri in sorted(ontologies):
-                uri_hits = self._contains_vec(packed, m, item_mask(uri, m, k))
+                uri_hits = self._contains(packed, item_mask(uri, m, k))
                 if all_uris is None:
                     all_uris = uri_hits
-                elif self.backend == "numpy":
-                    all_uris = all_uris & uri_hits
                 else:
                     all_uris = [a and b for a, b in zip(all_uris, uri_hits)]
-            if self.backend == "numpy":
-                hold = hold | all_uris
-            else:
-                hold = [a or b for a, b in zip(hold, all_uris)]
-            for row, peer_id in enumerate(peer_ids):
-                verdicts[peer_id] = bool(hold[row])
+            for peer_id, whole, every in zip(peer_ids, hold, all_uris):
+                verdicts[peer_id] = whole or every
         return verdicts
 
     def might_answer(self, request: ServiceRequest) -> dict[int, bool]:

@@ -37,22 +37,16 @@ def ontology_of(concept_uri: str) -> str:
     return concept_uri.split("#", 1)[0]
 
 
-def capability_tokens(capability: "Capability", ontologies: bool = False) -> frozenset[str]:
+def capability_tokens(capability: "Capability") -> frozenset[str]:
     """Syntactic token rendering of a capability.
 
     The token set is the capability's name plus the fragment (local name)
     of every concept it references — exactly the keyword vocabulary the
     WSDL/UDDI baseline indexes (:mod:`repro.registry.syntactic` builds its
-    keyword index from these).  With ``ontologies`` true, the fragments of
-    the referenced *ontology* URIs join the set as well: two capabilities
-    over the same ontology then share tokens even when their concepts
-    differ, which is what lets a token prefilter approximate the §3.3
-    ontology-set preselection without ever resolving a code.
+    keyword index from these).
     """
     tokens = {capability.name}
     tokens.update(uri_fragment(c) for c in capability.concepts())
-    if ontologies:
-        tokens.update(uri_fragment(o) for o in capability.ontologies())
     return frozenset(tokens)
 
 

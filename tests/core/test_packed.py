@@ -4,27 +4,18 @@ The headline property of ``repro.core.packed``: for any directory content
 and any request — including adversarial ones hypothesis composes from the
 workload's concept pool — ``BatchMatchEngine.match_capability`` returns
 exactly the ``(entry, SemanticDistance)`` pairs the per-entry scalar
-``Matcher`` computes, on both the numpy and the stdlib backend.
+``Matcher`` computes.
 """
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.directory import FlatDirectory
 from repro.core.matching import CodeMatcher
-from repro.core.packed import (
-    BatchMatchEngine,
-    PackedCodeTable,
-    default_backend,
-    have_numpy,
-    resolve_backend,
-)
+from repro.core.packed import BatchMatchEngine, PackedCodeTable
 from repro.services.profile import Capability
-
-BACKENDS = ["stdlib"] + (["numpy"] if have_numpy() else [])
 
 
 def scalar_pairs(entries, matcher, requested):
@@ -39,31 +30,8 @@ def scalar_pairs(entries, matcher, requested):
     }
 
 
-class TestBackendSelection:
-    def test_auto_resolves(self):
-        # An explicit "auto" detects numpy regardless of the
-        # REPRO_PACKED_BACKEND override, which only steers the default.
-        assert resolve_backend(None) in ("numpy", "stdlib")
-        assert default_backend() == resolve_backend(None)
-        expected = "numpy" if have_numpy() else "stdlib"
-        assert resolve_backend("auto") == expected
-
-    def test_stdlib_always_available(self):
-        assert resolve_backend("stdlib") == "stdlib"
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_backend("cuda")
-
-    @pytest.mark.skipif(have_numpy(), reason="needs a numpy-less install")
-    def test_numpy_without_numpy_rejected(self):  # pragma: no cover
-        with pytest.raises(ValueError):
-            resolve_backend("numpy")
-
-
 class TestPackedCodeTable:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_subsumer_distances_match_scalar(self, small_workload, small_table, backend):
+    def test_subsumer_distances_match_scalar(self, small_workload, small_table):
         concepts = sorted(
             {
                 c
@@ -73,7 +41,7 @@ class TestPackedCodeTable:
             }
         )
         matcher = CodeMatcher(table=small_table)
-        packed = PackedCodeTable(concepts, matcher.lookup, backend)
+        packed = PackedCodeTable(concepts, matcher.lookup)
         probe_concepts = [
             c
             for i in range(10, 20)
@@ -97,21 +65,18 @@ class TestPackedCodeTable:
 
     def test_unknown_concepts_skipped(self, small_table):
         matcher = CodeMatcher(table=small_table)
-        packed = PackedCodeTable(
-            ["http://nowhere.example#X"], matcher.lookup, "stdlib"
-        )
+        packed = PackedCodeTable(["http://nowhere.example#X"], matcher.lookup)
         assert len(packed.index) == 0
 
 
 class TestEngineEqualsScalar:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_workload_requests(self, small_workload, small_table, backend):
+    def test_workload_requests(self, small_workload, small_table):
         matcher = CodeMatcher(table=small_table)
         entries = {}
         for i in range(60):
             for cap in small_workload.make_service(i).provided:
                 entries[len(entries) + 1] = cap
-        engine = BatchMatchEngine(entries, matcher.lookup, backend=backend)
+        engine = BatchMatchEngine(entries, matcher.lookup)
         for probe in range(25):
             request = small_workload.matching_request(small_workload.make_service(probe))
             for requested in request.capabilities:
@@ -122,26 +87,22 @@ class TestEngineEqualsScalar:
                 # Pruning is sound: every match survived the prune.
                 assert len(pairs) <= stats.evaluated
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_unrelated_requests(self, small_workload, small_table, backend):
+    def test_unrelated_requests(self, small_workload, small_table):
         matcher = CodeMatcher(table=small_table)
         entries = {
             i + 1: small_workload.make_service(i).provided[0] for i in range(30)
         }
-        engine = BatchMatchEngine(entries, matcher.lookup, backend=backend)
+        engine = BatchMatchEngine(entries, matcher.lookup)
         for probe in range(10):
             request = small_workload.unrelated_request(probe)
             for requested in request.capabilities:
                 pairs, _stats = engine.match_capability(requested, matcher.lookup)
                 assert dict(pairs) == scalar_pairs(entries, matcher, requested)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_unknown_requested_output_matches_nothing(
-        self, small_workload, small_table, backend
-    ):
+    def test_unknown_requested_output_matches_nothing(self, small_workload, small_table):
         matcher = CodeMatcher(table=small_table)
         entries = {1: small_workload.make_service(0).provided[0]}
-        engine = BatchMatchEngine(entries, matcher.lookup, backend=backend)
+        engine = BatchMatchEngine(entries, matcher.lookup)
         alien = Capability.build(
             uri="urn:x:alien", name="alien", outputs=["http://nowhere.example#Out"]
         )
@@ -150,10 +111,9 @@ class TestEngineEqualsScalar:
         assert stats.pruned == stats.batch_size
         assert dict(pairs) == scalar_pairs(entries, matcher, alien)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_empty_engine(self, small_table, backend):
+    def test_empty_engine(self, small_table):
         matcher = CodeMatcher(table=small_table)
-        engine = BatchMatchEngine({}, matcher.lookup, backend=backend)
+        engine = BatchMatchEngine({}, matcher.lookup)
         requested = Capability.build(uri="urn:x:r", name="r", outputs=["urn:x#o"])
         pairs, stats = engine.match_capability(requested, matcher.lookup)
         assert pairs == [] and stats.batch_size == 0
@@ -170,10 +130,7 @@ class TestEngineProperty:
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_random_capabilities_match_scalar(
-        self, small_workload, small_table, backend, data
-    ):
+    def test_random_capabilities_match_scalar(self, small_workload, small_table, data):
         pool = self._concept_pool(small_workload)
         alien = "http://nowhere.example#Alien"
         concept = st.sampled_from(pool + [alien])
@@ -192,7 +149,7 @@ class TestEngineProperty:
         entries = {i + 1: build(i) for i in range(n_entries)}
         requested = build(999)
         matcher = CodeMatcher(table=small_table)
-        engine = BatchMatchEngine(entries, matcher.lookup, backend=backend)
+        engine = BatchMatchEngine(entries, matcher.lookup)
         pairs, stats = engine.match_capability(requested, matcher.lookup)
         assert dict(pairs) == scalar_pairs(entries, matcher, requested)
         assert stats.batch_size == len(entries)
@@ -254,9 +211,4 @@ class TestDirectoryIntegration:
         assert any(name == "match.batch_queries" for name, _labels in names)
         assert any(name == "match.batch_size" for name, _labels in names)
         assert any(name == "match.candidates_pruned" for name, _labels in names)
-        backends = {
-            dict(series["labels"]).get("backend")
-            for series in directory.obs.metrics.snapshot()
-            if series["name"] == "match.batch_queries"
-        }
-        assert backends == {default_backend()}
+        assert ("match.batch_queries", ()) in names  # one engine: no label

@@ -12,7 +12,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core.directory import FlatDirectory
-from repro.core.matchmaker import StageCutoffs, StagedMatchmaker
+from repro.registry import SyntacticRegistry
+from repro.services.profile import ServiceRequest
 from repro.core.quality import (
     QualityScore,
     mean_scores,
@@ -91,16 +92,23 @@ class TestBackendScoring:
             score = score_answer(directory.query(request), labels)
             assert score.precision == 1.0 and score.recall == 1.0
 
-    def test_strict_cutoffs_keep_precision_may_lose_recall(
+    def test_keyword_backend_keeps_precision_loses_recall(
         self, small_workload, small_table, profiles
     ):
-        matchmaker = StagedMatchmaker.from_profiles(
-            small_table, profiles, cutoffs=StageCutoffs(top_k=1)
-        )
-        request = small_workload.matching_request(profiles[0])
-        labels = relevant_services(profiles, request, table=small_table)
-        score = score_answer(matchmaker.query(request), labels)
-        # Truncation never returns an irrelevant service (stage 2/3 are
-        # exact), so precision stays perfect; recall can only drop.
-        assert score.precision == 1.0
-        assert score.recall <= 1.0
+        """The syntactic baseline needs the exact interface: it finds a
+        service asked for by its own capabilities, but misses it behind a
+        request phrased in other (subsuming) concepts — so recall drops
+        below 1 while every returned service stays relevant."""
+        registry = SyntacticRegistry()
+        registry.publish_batch(profiles)
+        exact = ServiceRequest(uri="urn:x:exact", capabilities=profiles[0].provided)
+        derived = small_workload.matching_request(profiles[0])
+        scores = []
+        for request in (exact, derived):
+            labels = relevant_services(profiles, request, table=small_table)
+            scores.append(score_answer(registry.query(request), labels))
+        precision, recall = mean_scores(scores)
+        assert scores[0].hits == 1
+        assert scores[1].relevant and scores[1].hits == 0
+        assert precision == 1.0
+        assert 0.0 < recall < 1.0

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from repro.core.capability_graph import QueryMode
 from repro.core.directory import FlatDirectory, SemanticDirectory
-from repro.core.packed import default_backend
 from repro.core.sharding import (
     ShardRouter,
     ShardedSemanticDirectory,
@@ -24,8 +23,6 @@ from repro.core.sharding import (
     shard_index_for,
 )
 from repro.obs import Observability
-
-BACKENDS = ["stdlib"] + (["numpy"] if default_backend() == "numpy" else [])
 
 
 def _rows(matches) -> list[tuple[str, str, int]]:
@@ -278,15 +275,9 @@ class TestEngineCacheCoherence:
     """Packed tables are epoch-keyed caches: a publish, unpublish storm, or
     rebalance must invalidate them — a query may never see stale rows."""
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_unpublish_storm_never_serves_stale_rows(
-        self, small_workload, small_table, backend
-    ):
+    def test_unpublish_storm_never_serves_stale_rows(self, small_workload, small_table):
         directory = FlatDirectory(
-            small_table,
-            use_interval_index=False,
-            use_batch_engine=True,
-            packed_backend=backend,
+            small_table, use_interval_index=False, use_batch_engine=True
         )
         profiles = small_workload.make_services(30)
         for profile in profiles:
@@ -300,15 +291,9 @@ class TestEngineCacheCoherence:
         survivors = {row[0] for row in _rows(directory.query(request))}
         assert survivors <= {keep}, f"stale packed rows served: {survivors}"
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_publish_after_warm_query_is_visible(
-        self, small_workload, small_table, backend
-    ):
+    def test_publish_after_warm_query_is_visible(self, small_workload, small_table):
         directory = FlatDirectory(
-            small_table,
-            use_interval_index=False,
-            use_batch_engine=True,
-            packed_backend=backend,
+            small_table, use_interval_index=False, use_batch_engine=True
         )
         late = small_workload.make_service(7)
         request = small_workload.matching_request(late)
@@ -333,20 +318,16 @@ class TestEngineCacheCoherence:
         router.resize(2)
         assert late.uri not in {row[0] for row in _rows(router.query(request))}
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     @settings(max_examples=25, deadline=None)
     @given(ops=st.lists(st.tuples(st.booleans(), st.integers(0, 11)), max_size=14))
     def test_interleaved_churn_equals_scalar_rebuild(
-        self, small_workload, small_table, backend, ops
+        self, small_workload, small_table, ops
     ):
         """Any publish/unpublish interleaving: the epoch-cached packed
         engine answers exactly like a scalar directory fed the same ops,
         with a query (cache warm) forced between every mutation."""
         cached = FlatDirectory(
-            small_table,
-            use_interval_index=False,
-            use_batch_engine=True,
-            packed_backend=backend,
+            small_table, use_interval_index=False, use_batch_engine=True
         )
         scalar = FlatDirectory(
             small_table, use_interval_index=False, use_batch_engine=False

@@ -2,11 +2,9 @@
 
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.packed import have_numpy
 from repro.core.summaries import DirectorySummary, SummaryBank
 from repro.services.profile import Capability, ServiceRequest
 
@@ -108,9 +106,7 @@ class TestRebuildAndSaturation:
 
 class TestSummaryBank:
     """The batch bank must reproduce per-peer DirectorySummary verdicts
-    exactly — including false positives — on every backend."""
-
-    BACKENDS = ["stdlib"] + (["numpy"] if have_numpy() else [])
+    exactly — including false positives."""
 
     @staticmethod
     def _peer_filters(n_peers: int, seed: int):
@@ -136,10 +132,9 @@ class TestSummaryBank:
             filters[peer_id] = summary.snapshot()
         return filters, held
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_might_answer_equals_per_peer_scalar(self, backend):
+    def test_might_answer_equals_per_peer_scalar(self):
         filters, _held = self._peer_filters(30, seed=7)
-        bank = SummaryBank(filters, backend=backend)
+        bank = SummaryBank(filters)
         assert len(bank) == 30
         rng = random.Random(99)
         for probe in range(60):
@@ -157,10 +152,9 @@ class TestSummaryBank:
             }
             assert bank.might_answer(request) == expected
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_might_hold_equals_per_peer_scalar(self, backend):
+    def test_might_hold_equals_per_peer_scalar(self):
         filters, _held = self._peer_filters(12, seed=3)
-        bank = SummaryBank(filters, backend=backend)
+        bank = SummaryBank(filters)
         for probe_ns in (["http://o.org/0"], ["http://o.org/1", "http://o.org/2"]):
             probe = cap("probe", probe_ns)
             expected = {
@@ -169,41 +163,25 @@ class TestSummaryBank:
             }
             assert bank.might_hold(probe) == expected
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_no_false_negatives(self, backend):
+    def test_no_false_negatives(self):
         """Every capability a peer actually holds must be admitted."""
         filters, held = self._peer_filters(20, seed=11)
-        bank = SummaryBank(filters, backend=backend)
+        bank = SummaryBank(filters)
         for peer_id, capabilities in held.items():
             for capability in capabilities:
                 assert bank.might_hold(capability)[peer_id]
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_empty_ontology_capability_is_vacuously_admitted(self, backend):
+    def test_empty_ontology_capability_is_vacuously_admitted(self):
         """A capability with no ontology footprint filters nobody — the
         scalar path's all() over an empty URI set is vacuously true."""
         filters, _held = self._peer_filters(6, seed=5)
-        bank = SummaryBank(filters, backend=backend)
+        bank = SummaryBank(filters)
         bare = Capability.build("urn:x:cap:bare", "bare")
         assert not bare.ontologies()
         verdicts = bank.might_hold(bare)
         for peer_id, bloom in filters.items():
             assert verdicts[peer_id] == DirectorySummary.from_bloom(bloom).might_hold(bare)
             assert verdicts[peer_id] is True
-
-    def test_backends_agree(self):
-        if not have_numpy():
-            pytest.skip("numpy backend unavailable")
-        filters, _held = self._peer_filters(25, seed=13)
-        numpy_bank = SummaryBank(filters, backend="numpy")
-        stdlib_bank = SummaryBank(filters, backend="stdlib")
-        rng = random.Random(17)
-        for probe in range(40):
-            namespaces = sorted(
-                rng.sample([f"http://o.org/{i}" for i in range(10)], rng.randint(1, 3))
-            )
-            request = request_for(cap(f"x{probe}", namespaces))
-            assert numpy_bank.might_answer(request) == stdlib_bank.might_answer(request)
 
     def test_empty_bank(self):
         bank = SummaryBank({})

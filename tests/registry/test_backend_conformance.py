@@ -1,7 +1,7 @@
 """Conformance suite for the unified :class:`DiscoveryBackend` contract.
 
-Every discovery mechanism in the repository — the core directories, the
-staged matchmaker, and all four baseline registries — must expose the
+Every discovery mechanism in the repository — the two core directories
+and all four baseline registries — must expose the
 same surface: ``publish`` (profiles), ``unpublish`` returning the removed
 entry count, ``query`` (a :class:`ServiceRequest`) returning
 :class:`DirectoryMatch` rows, the batch forms, ``capability_count``,
@@ -19,7 +19,6 @@ import warnings
 import pytest
 
 from repro.core.directory import FlatDirectory, SemanticDirectory
-from repro.core.matchmaker import StagedMatchmaker
 from repro.registry import (
     AnnotatedTaxonomyRegistry,
     DirectoryMatch,
@@ -31,7 +30,7 @@ from repro.registry import (
 from repro.services.generator import ServiceWorkload
 from repro.services.profile import ServiceRequest
 
-BACKENDS = ["semantic", "flat", "syntactic", "annotated", "online", "gist", "staged"]
+BACKENDS = ["semantic", "flat", "syntactic", "annotated", "online", "gist"]
 
 
 @pytest.fixture(scope="module")
@@ -41,7 +40,7 @@ def profiles(small_workload):
 
 @pytest.fixture
 def backend(request, small_workload, small_table):
-    """One fresh backend instance per test, parametrized over all seven."""
+    """One fresh backend instance per test, parametrized over all six."""
     kind = request.param
     if kind == "semantic":
         return SemanticDirectory(small_table)
@@ -55,8 +54,6 @@ def backend(request, small_workload, small_table):
         return OnlineSemanticRegistry(small_workload.ontologies)
     if kind == "gist":
         return GistDirectory(small_table)
-    if kind == "staged":
-        return StagedMatchmaker(small_table)
     raise AssertionError(kind)
 
 

@@ -134,34 +134,6 @@ class TestInspect:
         assert main(["inspect", str(tmp_path)]) == 2
 
 
-class TestMatchmakerCommand:
-    def test_stage_funnel_printed(self, tmp_path, capsys):
-        main(
-            ["workload", "--services", "4", "--ontologies", "3", "--seed", "5", "--outdir", str(tmp_path)]
-        )
-        capsys.readouterr()
-        rc = main(
-            [
-                "matchmaker",
-                str(tmp_path),
-                "--request",
-                "request_000.xml",
-                "--min-overlap",
-                "1",
-                "--top-k",
-                "2",
-            ]
-        )
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "StagedMatchmaker: 4 services" in out
-        assert "prefilter:" in out and "subsume:" in out
-        assert "request_000.xml" in out
-
-    def test_empty_dir(self, tmp_path):
-        assert main(["matchmaker", str(tmp_path)]) == 2
-
-
 class TestValidate:
     def test_clean_workload_passes(self, tmp_path, capsys):
         main(

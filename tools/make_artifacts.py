@@ -10,8 +10,7 @@ names + units, generator seeds). See ``ARTIFACTS.md`` for the
 methodology and ``--check`` contract.
 
 Output hashes deliberately exclude metric *values*, timestamps, git
-SHAs and the machine-dependent parts of the config (e.g. which packed
-backend was auto-detected): two runs on different machines produce the
+SHAs and the run config: two runs on different machines produce the
 same manifest as long as the benchmarks still emit the same artifacts
 with the same metric schema from the same seeds. Values themselves are
 regression-gated separately, by ``repro.cli obs regress`` against
