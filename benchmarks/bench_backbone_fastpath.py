@@ -1,22 +1,19 @@
-"""Backbone fast path: parse-once forwarding + route caching, before/after.
+"""Backbone fast path: parse-once forwarding + route caching.
 
 Fig. 10-style deployment scaled to the network layer: 50 nodes on a
 connected grid, 4 of them elected S-Ariadne directories, advertisements
 spread across all four so most queries must be forwarded over the §4
-backbone.  The same query workload runs twice:
-
-* **fast** — parse-once request cache, ``EncodedRequest`` wire forms on
-  forwarded queries, and the network route cache (the defaults);
-* **legacy** — ``use_fastpath = False`` on every directory and
-  ``use_route_cache = False`` on the fabric, i.e. the historical
-  parse-per-call / BFS-per-send behaviour.
+backbone.  Directories parse each request once (content-addressed
+request cache), forward ``EncodedRequest`` wire forms so peers skip the
+XML parse, and the fabric answers hop counts from its route cache.
 
 The headline assertion is deterministic, not wall-clock: per-query
 forwarding overhead = XML request parses + shortest-path computations
-(both counted, not timed) must drop by at least 3x, while every query
-returns identical result rows and every node pair keeps identical hop
-counts.  Wall-clock queries/sec and simulated per-hop latency are
-reported alongside.
+(both counted, not timed) must stay at or below
+:data:`MAX_OVERHEAD_PER_QUERY` on every seed, every query must find its
+service, and every node pair's cached hop count must equal a fresh BFS.
+Wall-clock queries/sec and simulated per-hop latency are reported
+alongside.
 """
 
 from __future__ import annotations
@@ -45,6 +42,11 @@ SERVICES = 8 if SMOKE else 20
 DISTINCT_QUERIES = 4 if SMOKE else 10
 QUERY_REPEATS = 2  # every distinct request issued twice: cold then warm
 SEEDS = [0] if SMOKE else [0, 1, 2]
+#: Ceiling on parses + route computations per query.  A third of the
+#: smallest per-query overhead measured when every probe re-parsed the
+#: document and every send ran its own BFS (8.25, smoke seed 0); the
+#: cached path reads 1.1-1.5.
+MAX_OVERHEAD_PER_QUERY = 2.75
 BOUNDS = Bounds(600.0, 600.0)
 RADIO_RANGE = 130.0
 
@@ -83,12 +85,11 @@ def documents(directory_workload, directory_table):
     return adverts, requests
 
 
-def build_backbone(table, seed: int, fastpath: bool):
+def build_backbone(table, seed: int):
     """50-node grid, 4 directories, clients homed on the nearest one."""
     rng = random.Random(seed)
     sim = Simulator()
     network = Network(sim, bounds=BOUNDS, radio_range=RADIO_RANGE, seed=seed)
-    network.use_route_cache = fastpath
     positions = grid_positions(NODE_COUNT, BOUNDS)
     for node_id in range(NODE_COUNT):
         network.add_node(node_id, positions[node_id])
@@ -96,11 +97,9 @@ def build_backbone(table, seed: int, fastpath: bool):
     directory_ids = sorted(rng.sample(range(NODE_COUNT), DIRECTORY_COUNT))
     directories = {}
     for node_id in directory_ids:
-        agent = network.nodes[node_id].add_agent(
+        directories[node_id] = network.nodes[node_id].add_agent(
             SAriadneDirectoryAgent(table, forward_window=0.5)
         )
-        agent.use_fastpath = fastpath
-        directories[node_id] = agent
 
     def nearest_directory(node_id: int) -> int:
         position = network.nodes[node_id].position
@@ -123,16 +122,14 @@ def build_backbone(table, seed: int, fastpath: bool):
     return sim, network, directories, clients, directory_ids
 
 
-def run_workload(table, documents, seed: int, fastpath: bool, obs=None):
-    """Publish, settle, query; returns (per-query rows, counters).
+def run_workload(table, documents, seed: int, obs=None):
+    """Publish, settle, query; returns the workload's counters.
 
     When ``obs`` is given it is installed over the deployment before the
     workload runs, so the trace captures every forwarding hop.
     """
     adverts, requests = documents
-    sim, network, directories, clients, directory_ids = build_backbone(
-        table, seed, fastpath
-    )
+    sim, network, directories, clients, directory_ids = build_backbone(table, seed)
     if obs is not None:
         from repro.obs import install
 
@@ -146,7 +143,7 @@ def run_workload(table, documents, seed: int, fastpath: bool, obs=None):
     sim.run(until=sim.now + 10.0)  # summaries settle
 
     parses_before = CODEC_STATS.snapshot()
-    routes_before = network.routes.stats.bfs_runs + network.bfs_fallback_runs
+    routes_before = network.routes.stats.bfs_runs
     results = []
     latencies = []
     start = time.perf_counter()
@@ -161,7 +158,7 @@ def run_workload(table, documents, seed: int, fastpath: bool, obs=None):
             latencies.append(latency)
     wall_seconds = time.perf_counter() - start
     parses_after = CODEC_STATS.snapshot()
-    routes_after = network.routes.stats.bfs_runs + network.bfs_fallback_runs
+    routes_after = network.routes.stats.bfs_runs
     # Per-hop latency is derived after the counter window closes so these
     # harness-side route lookups don't pollute the overhead metric.
     per_hop = [
@@ -189,7 +186,7 @@ def run_workload(table, documents, seed: int, fastpath: bool, obs=None):
             reference = network._bfs_shortest_path(client_id, directory_id)
             expected = None if reference is None else len(reference) - 1
             assert network.hop_count(client_id, directory_id) == expected
-    return results, counters
+    return counters
 
 
 def overhead_per_query(counters: dict) -> float:
@@ -201,41 +198,25 @@ def overhead_per_query(counters: dict) -> float:
 def test_backbone_fastpath_report(benchmark, directory_table, documents):
     rows = []
     metrics = {}
-    ratios = []
+    overheads = []
     for seed in SEEDS:
-        fast_results, fast = run_workload(directory_table, documents, seed, True)
-        legacy_results, legacy = run_workload(directory_table, documents, seed, False)
-        # Identical discovery results, query for query.
-        assert fast_results == legacy_results, f"seed {seed}: results diverged"
-        assert fast["recall"] == legacy["recall"] == 1.0
-        ratio = overhead_per_query(legacy) / max(overhead_per_query(fast), 1e-9)
-        ratios.append(ratio)
+        fast = run_workload(directory_table, documents, seed)
+        assert fast["recall"] == 1.0, f"seed {seed}: recall {fast['recall']}"
+        overhead = overhead_per_query(fast)
+        overheads.append(overhead)
         rows.append(
             [
                 seed,
-                f"{overhead_per_query(legacy):.1f}",
-                f"{overhead_per_query(fast):.1f}",
-                f"{ratio:.1f}x",
-                f"{legacy['queries'] / legacy['wall_seconds']:.0f}",
+                f"{overhead:.2f}",
+                fast["request_parses"],
+                fast["route_computations"],
                 f"{fast['queries'] / fast['wall_seconds']:.0f}",
                 f"{fast['mean_per_hop_latency'] * 1e3:.2f}",
             ]
         )
-        metrics[f"overhead_legacy_{seed}"] = (
-            overhead_per_query(legacy),
-            "parses+route computations per query",
-        )
-        metrics[f"overhead_fast_{seed}"] = (
-            overhead_per_query(fast),
-            "parses+route computations per query",
-        )
-        metrics[f"overhead_reduction_{seed}"] = (ratio, "ratio")
+        metrics[f"overhead_fast_{seed}"] = (overhead, "parses+route computations per query")
         metrics[f"queries_per_sec_fast_{seed}"] = (
             fast["queries"] / fast["wall_seconds"],
-            "queries/s",
-        )
-        metrics[f"queries_per_sec_legacy_{seed}"] = (
-            legacy["queries"] / legacy["wall_seconds"],
             "queries/s",
         )
         metrics[f"per_hop_latency_fast_{seed}"] = (
@@ -243,29 +224,23 @@ def test_backbone_fastpath_report(benchmark, directory_table, documents):
             "seconds",
         )
         metrics[f"cold_request_parses_{seed}"] = (fast["request_parses"], "parses")
-        metrics[f"legacy_request_parses_{seed}"] = (legacy["request_parses"], "parses")
-    # The tentpole claim: >= 3x less per-query forwarding overhead on
-    # every seed, with identical discovery results (asserted above).
-    for seed, ratio in zip(SEEDS, ratios):
-        assert ratio >= 3.0, f"seed {seed}: only {ratio:.1f}x"
+    # The headline claim: bounded per-query forwarding overhead on every
+    # seed, with every query answered (asserted above).
+    for seed, overhead in zip(SEEDS, overheads):
+        assert overhead <= MAX_OVERHEAD_PER_QUERY, (
+            f"seed {seed}: {overhead:.2f} parses+route computations per query"
+        )
     table = series_table(
-        [
-            "seed",
-            "legacy ovh/query",
-            "fast ovh/query",
-            "reduction",
-            "legacy q/s",
-            "fast q/s",
-            "per-hop ms",
-        ],
+        ["seed", "ovh/query", "parses", "route comps", "q/s", "per-hop ms"],
         rows,
     )
     table += (
         "\noverhead = XML request parses + shortest-path computations (deterministic"
-        "\ncounters, not wall-clock); identical result rows and hop counts on every seed"
-        f"\ncold vs warm: the fast path parses each distinct request once"
-        f" ({DISTINCT_QUERIES} parses for {QUERY_REPEATS * DISTINCT_QUERIES} queries);"
-        " the legacy path re-parses per probe, per peer, per repeat"
+        "\ncounters, not wall-clock); every query answered and every cached hop count"
+        f"\nequal to a fresh BFS; ceiling {MAX_OVERHEAD_PER_QUERY} per query"
+        "\ncold vs warm: a directory parses a request document once and repeats hit"
+        f" its request cache ({DISTINCT_QUERIES} distinct requests,"
+        f" {QUERY_REPEATS * DISTINCT_QUERIES} queries)"
     )
     save_report(
         "backbone_fastpath",
@@ -302,9 +277,7 @@ def test_backbone_fastpath_traced(directory_table, documents):
     ring = RingBufferSink()
     with JsonlSink(trace_path) as jsonl:
         obs = Observability(sinks=[ring, jsonl])
-        _results, counters = run_workload(
-            directory_table, documents, SEEDS[0], True, obs=obs
-        )
+        counters = run_workload(directory_table, documents, SEEDS[0], obs=obs)
         obs.close()
     assert counters["recall"] == 1.0
     spans, metrics = load_trace(trace_path)
@@ -326,7 +299,7 @@ def test_backbone_fastpath_traced(directory_table, documents):
 def test_route_cache_amortizes_bfs(directory_table, documents):
     """Cold vs warm route cache: steady-state queries run no new BFS."""
     sim, network, _directories, clients, directory_ids = build_backbone(
-        directory_table, seed=0, fastpath=True
+        directory_table, seed=0
     )
     client_ids = sorted(clients)
     for client_id in client_ids:

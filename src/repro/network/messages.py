@@ -337,8 +337,8 @@ class QueryResponse:
 class RemoteQuery:
     """Directory → peer directory: forwarded query (§4 step 3).
 
-    Carries the origin's :class:`EncodedRequest` when the fast path is
-    on, so the peer answers without re-parsing the XML document.
+    Carries the origin's :class:`EncodedRequest` when its protocol has a
+    wire form, so the peer answers without re-parsing the XML document.
     """
 
     query_id: int

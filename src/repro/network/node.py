@@ -209,12 +209,9 @@ class Network:
         self._wired: dict[int, set[int]] = {}
         self.wired_latency = per_hop_latency / 4
         self._started = False
-        #: Backbone fast path: memoized hop counts / parent trees, one
-        #: BFS per source per topology epoch instead of one per send.
-        #: ``use_route_cache = False`` restores the per-call BFS (the
-        #: before/after axis of ``bench_backbone_fastpath``).
+        #: Memoized hop counts / parent trees, one BFS per source per
+        #: topology epoch instead of one per send.
         self.routes = RouteCache(self._adjacency_snapshot, self._topology_fingerprint)
-        self.use_route_cache = True
         #: Deterministic chaos layer (``install_fault_plan``); ``None``
         #: keeps every fault hook on its zero-cost path.
         self.faults = None
@@ -226,11 +223,6 @@ class Network:
         #: Active partition: node id -> group index; ``None`` when whole.
         #: Nodes absent from every group share an implicit extra island.
         self._partition: dict[int, int] | None = None
-        #: Uncached BFS invocations (only grows with use_route_cache off);
-        #: together with ``routes.stats.bfs_runs`` this gives the total
-        #: route-computation count either way — the benchmarks' route-cost
-        #: metric.
-        self.bfs_fallback_runs = 0
 
     # ------------------------------------------------------------------
     # Construction
@@ -533,12 +525,9 @@ class Network:
         """Hop-shortest path between two nodes on the current topology.
 
         Served from the lazy route cache (one BFS per source per topology
-        epoch); set :attr:`use_route_cache` to False for the historical
-        fresh-BFS-per-call behaviour.
+        epoch).
         """
-        if self.use_route_cache:
-            return self.routes.path(source, dest)
-        return self._bfs_shortest_path(source, dest)
+        return self.routes.path(source, dest)
 
     def hop_count(self, source: int, dest: int) -> int | None:
         """Hops on the shortest path, ``None`` when unreachable.
@@ -547,15 +536,11 @@ class Network:
         (`DirectoryAgentBase._rank_forward_peers`) asks this per peer per
         query and must not pay a BFS each time.
         """
-        if self.use_route_cache:
-            return self.routes.hops(source, dest)
-        path = self._bfs_shortest_path(source, dest)
-        return None if path is None else len(path) - 1
+        return self.routes.hops(source, dest)
 
     def _bfs_shortest_path(self, source: int, dest: int) -> list[int] | None:
         """Uncached BFS (reference implementation the route cache must
         agree with; the churn property test asserts exactly that)."""
-        self.bfs_fallback_runs += 1
         if source == dest:
             return [source]
         parents: dict[int, int] = {source: source}

@@ -35,12 +35,6 @@ class AriadneDirectoryAgent(DirectoryAgentBase):
         """Drop a cached advertisement (idempotent)."""
         self.registry.unpublish(service_uri)
 
-    def local_query(self, document: str) -> list[ResultRow]:
-        """Answer a WSDL request from the local cache (keyword match)."""
-        hits = self.registry.query_xml(document)
-        # Syntactic conformance is binary: every hit gets distance 0.
-        return [(description.uri, description.port_type, 0) for description in hits]
-
     def build_summary(self) -> BloomFilter:
         """Bloom filter over the keywords of every cached description."""
         if self.obs.enabled:
@@ -51,47 +45,38 @@ class AriadneDirectoryAgent(DirectoryAgentBase):
                 bloom.add(keyword)
         return bloom
 
-    def summary_admits(self, summary: BloomFilter, document: str) -> bool:
-        """Forward preselection: all request keywords in the summary?"""
-        try:
-            parsed = wsdl_from_xml(document)
-        except ServiceSyntaxError:
-            return False
-        if not isinstance(parsed, WsdlRequest) or not parsed.keywords:
-            return True  # nothing to preselect on; must forward
-        return all(keyword in summary for keyword in parsed.keywords)
-
     # ------------------------------------------------------------------
-    # Backbone fast path: parse/encode once, test/match many times
+    # Request hooks: parse once, then match and test the parsed form
     # ------------------------------------------------------------------
     def parse_request(self, document: str) -> WsdlRequest | None:
-        """Parse a request document once; ``None`` if malformed."""
+        """Parse a request document once; ``None`` if malformed or not a
+        request."""
         try:
             parsed = wsdl_from_xml(document)
         except ServiceSyntaxError:
             return None
         return parsed if isinstance(parsed, WsdlRequest) else None
 
-    def local_query_parsed(
-        self, document: str, parsed: WsdlRequest | None
-    ) -> list[ResultRow]:
-        """Like :meth:`local_query`, reusing an existing parse."""
-        if parsed is None:
-            return self.local_query(document)
+    def local_query(self, parsed: WsdlRequest) -> list[ResultRow]:
+        """Answer a parsed WSDL request from the local cache (keyword
+        match)."""
         hits = self.registry.query_wsdl(parsed)
+        # Syntactic conformance is binary: every hit gets distance 0.
         return [(description.uri, description.port_type, 0) for description in hits]
 
-    def summary_admits_parsed(
-        self, summary: BloomFilter, document: str, parsed: WsdlRequest | None
-    ) -> bool:
-        """Like :meth:`summary_admits`, reusing an existing parse."""
-        if parsed is None:
-            return self.summary_admits(summary, document)
-        if not parsed.keywords:
-            return True  # nothing to preselect on; must forward
-        return all(keyword in summary for keyword in parsed.keywords)
+    def summaries_admitting(
+        self, parsed: WsdlRequest, peer_ids: list[int]
+    ) -> dict[int, bool]:
+        """Forward preselection: are all request keywords in each peer's
+        summary?  A request without keywords gives nothing to preselect
+        on, so every peer admits it."""
+        summaries = self.peer_summaries
+        return {
+            peer_id: all(keyword in summaries[peer_id] for keyword in parsed.keywords)
+            for peer_id in peer_ids
+        }
 
-    def encode_request(self, document: str, parsed: WsdlRequest) -> EncodedRequest | None:
+    def encode_request(self, parsed: WsdlRequest) -> EncodedRequest | None:
         """Pack the parsed request for forwarding (peers skip the XML)."""
         operations = tuple(
             (op.name, tuple(op.inputs), tuple(op.outputs)) for op in parsed.operations

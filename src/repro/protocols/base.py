@@ -8,8 +8,9 @@ summaries suggest they may hold relevant advertisements (step 3); remote
 directories answer locally (4) and reply (5); the origin directory merges
 and responds to the client (6).
 
-Concrete protocols plug in three things: how to *match locally*, how to
-*summarize* content, and how to *test* a request against a peer summary.
+Concrete protocols plug in how to *parse* a request once, how to *match*
+the parsed request locally, how to *summarize* content, and how to *test*
+a parsed request against peer summaries.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from repro.util.bloom import BloomFilter
 from repro.util.cache import RequestCache
 
 #: Distinguishes "no cached parse for this document" from a cached
-#: ``None`` ("protocol has no parse-once form / document malformed").
+#: ``None`` (a malformed document, or not a request).
 _UNCACHED = object()
 
 #: Hop budget for backbone formation floods (network-wide reach).
@@ -125,9 +126,13 @@ class DirectoryAgentBase(ProtocolAgent):
 
     * :meth:`local_publish` — cache one advertisement document;
     * :meth:`local_withdraw` — drop a service;
-    * :meth:`local_query` — answer a request document from the cache;
     * :meth:`build_summary` — Bloom filter over the current content;
-    * :meth:`summary_admits` — does a peer summary admit this request?
+    * :meth:`parse_request` — parse a request document, once per node;
+    * :meth:`local_query` — answer a parsed request from the cache;
+    * :meth:`summaries_admitting` — which peer summaries admit it?
+
+    A request whose document does not parse gets an empty local answer
+    and is not forwarded.
 
     Args:
         forward_window: how long to wait for remote responses (s).
@@ -185,11 +190,8 @@ class DirectoryAgentBase(ProtocolAgent):
         self.peer_silence_threshold = 3
         self._peer_silent: dict[int, int] = {}
         self.peers_evicted = 0
-        # Backbone fast path: a request document is parsed/encoded at most
-        # once per node and carried pre-parsed on forwarded messages.
-        # ``use_fastpath = False`` restores the historical parse-per-call
-        # behaviour (the before/after axis of bench_backbone_fastpath).
-        self.use_fastpath = True
+        # A request document is parsed/encoded at most once per node and
+        # carried pre-parsed on forwarded messages.
         self.request_cache = RequestCache()
         self.requests_parsed = 0
         self.wire_decodes = 0
@@ -272,16 +274,8 @@ class DirectoryAgentBase(ProtocolAgent):
             return count
         return len(self._documents_by_service)
 
-    def local_query(self, document: str) -> list[ResultRow]:
-        """Answer a request document from the local cache."""
-        raise NotImplementedError
-
     def build_summary(self) -> BloomFilter:
         """Bloom summary of the current content."""
-        raise NotImplementedError
-
-    def summary_admits(self, summary: BloomFilter, document: str) -> bool:
-        """Could a directory with ``summary`` hold a match for the request?"""
         raise NotImplementedError
 
     def refresh_codes_for(self, document: str) -> CodeRefreshResponse | None:
@@ -293,52 +287,37 @@ class DirectoryAgentBase(ProtocolAgent):
         return None
 
     # ------------------------------------------------------------------
-    # Fast-path hooks (parse-once forwarding)
-    #
-    # Protocols that support the backbone fast path implement these five;
-    # the defaults degrade to the historical parse-per-call behaviour, so
-    # existing subclasses (and the toy directories in tests) keep working
-    # unchanged.
+    # Request hooks (parse once, then match and test the parsed form)
     # ------------------------------------------------------------------
     def parse_request(self, document: str) -> object | None:
         """One-time parsed form of a request document.
 
-        Returns ``None`` when the protocol has no parse-once support or
-        the document is malformed; the ``*_parsed`` hooks then fall back
-        to their document-based counterparts.
+        Returns ``None`` when the document is malformed or not a request;
+        such a request gets an empty local answer and is not forwarded.
         """
-        return None
+        raise NotImplementedError
 
-    def local_query_parsed(self, document: str, parsed: object | None) -> list[ResultRow]:
-        """Answer a request from the cache, reusing ``parsed`` when given."""
-        return self.local_query(document)
+    def local_query(self, parsed: object) -> list[ResultRow]:
+        """Answer a parsed request from the local cache.
 
-    def summary_admits_parsed(
-        self, summary: BloomFilter, document: str, parsed: object | None
-    ) -> bool:
-        """Summary test reusing the parse-once form when available."""
-        return self.summary_admits(summary, document)
+        Raises:
+            StaleCodesError: the request's codes belong to another
+                code-table snapshot (§3.2); the caller answers empty and
+                sends :meth:`refresh_codes_for`'s codes back.
+        """
+        raise NotImplementedError
 
     def summaries_admitting(
-        self, document: str, parsed: object | None, peer_ids: list[int]
+        self, parsed: object, peer_ids: list[int]
     ) -> dict[int, bool]:
-        """Admission verdict of each peer's summary for one request.
+        """Admission verdict of each peer's summary for one parsed request:
+        could a directory with that summary hold a match?
 
-        The default loops :meth:`summary_admits_parsed` per peer;
-        protocols with batch-testable summaries (S-Ariadne's Bloom bank)
-        override this to hash the request once and test all peers in one
-        pass.  Overrides must return exactly the per-peer verdicts of the
-        scalar loop — only the cost may change.
+        Every id in ``peer_ids`` has an entry in :attr:`peer_summaries`.
         """
-        return {
-            peer_id: self.summary_admits_parsed(
-                self.peer_summaries[peer_id], document, parsed
-            )
-            for peer_id in peer_ids
-            if peer_id in self.peer_summaries
-        }
+        raise NotImplementedError
 
-    def encode_request(self, document: str, parsed: object) -> EncodedRequest | None:
+    def encode_request(self, parsed: object) -> EncodedRequest | None:
         """Wire form of a parsed request for forwarded messages, or None."""
         return None
 
@@ -366,8 +345,6 @@ class DirectoryAgentBase(ProtocolAgent):
         request — re-issued, retried, or probed against N peer summaries —
         is parsed exactly once per code-table snapshot.
         """
-        if not self.use_fastpath:
-            return None
         cache = self.request_cache
         cache.ensure_version(self.request_cache_version())
         parsed = cache.get_document(document, _UNCACHED)
@@ -394,7 +371,7 @@ class DirectoryAgentBase(ProtocolAgent):
         failures (foreign protocol, §3.2 code-table mismatch) fall back
         to the content-addressed parse of the document.
         """
-        if self.use_fastpath and wire is not None:
+        if wire is not None:
             decoded = self.decode_request(wire)
             if decoded is not None:
                 self.wire_decodes += 1
@@ -456,9 +433,9 @@ class DirectoryAgentBase(ProtocolAgent):
 
         self.runtime.schedule(self.summary_push_delay, flush)
 
-    def _rank_forward_peers(self, document: str, parsed: object | None = None) -> list[int]:
-        """Peers to forward a request to: Bloom-admitted, ranked by hop
-        distance then by remaining battery, capped at
+    def _rank_forward_peers(self, parsed: object) -> list[int]:
+        """Peers to forward a parsed request to: Bloom-admitted, ranked by
+        hop distance then by remaining battery, capped at
         :attr:`max_forward_peers`.
 
         The ranking sort key ends in the peer id, so iteration order over
@@ -468,12 +445,10 @@ class DirectoryAgentBase(ProtocolAgent):
         """
         network = self.node.network
         obs = self.obs
-        if parsed is None:
-            parsed = self._parsed_request(document)
         verdicts: dict[int, bool] = {}
         if self.use_summaries and self.peer_summaries:
             with_summary = [p for p in self.known_peers if p in self.peer_summaries]
-            verdicts = self.summaries_admitting(document, parsed, with_summary)
+            verdicts = self.summaries_admitting(parsed, with_summary)
         admitted = []
         for peer_id in self.known_peers:
             if self.use_summaries and peer_id in verdicts:
@@ -609,9 +584,12 @@ class DirectoryAgentBase(ProtocolAgent):
         """Local cache answer with §3.2 stale-code recovery: a request
         minted against another code-table snapshot gets an empty answer
         plus a :class:`CodeRefreshResponse` so the sender can re-annotate
-        (the same machinery stale publications already use)."""
+        (the same machinery stale publications already use).  A request
+        that did not parse (``parsed is None``) gets an empty answer."""
+        if parsed is None:
+            return []
         try:
-            return self.local_query_parsed(document, parsed)
+            return self.local_query(parsed)
         except StaleCodesError:
             refresh = self.refresh_codes_for(document)
             if refresh is not None:
@@ -670,15 +648,13 @@ class DirectoryAgentBase(ProtocolAgent):
             # forward-window timer, outside any span) can rejoin the trace.
             pending.trace = obs.tracer.current_traceparent()
         self._pending[query.query_id] = pending
-        if not local:
+        if not local and parsed is not None:
             # Step 3: forward to peers whose summaries admit the request,
             # preferring nearby, well-charged directories (§4).  The wire
             # form is encoded once and shared by every forwarded copy, so
             # peers skip the XML parse entirely.
-            wire = None
-            if self.use_fastpath and parsed is not None:
-                wire = self.encode_request(query.document, parsed)
-            for peer_id in self._rank_forward_peers(query.document, parsed):
+            wire = self.encode_request(parsed)
+            for peer_id in self._rank_forward_peers(parsed):
                 if self.node.unicast(
                     peer_id,
                     RemoteQuery(query.query_id, query.document, self.node.node_id, wire=wire),
@@ -699,6 +675,37 @@ class DirectoryAgentBase(ProtocolAgent):
             )
         else:
             self._conclude(query.query_id)
+
+    def _handle_remote_query(self, query: RemoteQuery, trace: str | None = None) -> None:
+        obs = self.obs
+        if not obs.enabled:
+            self._handle_remote_query_impl(query, None)
+            return
+        network = self.node.network
+        # The RemoteResponse is sent inside the span so its frame carries
+        # this hop's context back to the origin directory.
+        with obs.span(
+            "hop.remote",
+            trace_id=self._trace_id(query.origin_directory, query.query_id),
+            sim_time=network.runtime.now,
+            parent=TraceContext.from_traceparent(trace),
+            directory=self.node.node_id,
+            origin=query.origin_directory,
+            hops=network.hop_count(query.origin_directory, self.node.node_id),
+        ) as span:
+            self._handle_remote_query_impl(query, span)
+
+    def _handle_remote_query_impl(self, query: RemoteQuery, span) -> None:
+        parsed_before, decoded_before = self.requests_parsed, self.wire_decodes
+        parsed = self._request_from_wire(query.wire, query.document)
+        results = self._local_results(query.origin_directory, query.document, parsed)  # step 4
+        if span is not None:
+            span.attrs["cache"] = self._cache_verdict(parsed_before, decoded_before)
+            span.attrs["results"] = len(results)
+            span.attrs["admitted"] = bool(results)
+        self.node.unicast(
+            query.origin_directory, RemoteResponse(query.query_id, tuple(results))
+        )  # step 5
 
     def _conclude(self, query_id: int) -> None:
         pending = self._pending.pop(query_id, None)
@@ -808,40 +815,7 @@ class DirectoryAgentBase(ProtocolAgent):
         elif isinstance(payload, QueryRequest):
             self._handle_client_query(envelope.source, payload, trace=envelope.trace)
         elif isinstance(payload, RemoteQuery):
-            obs = self.obs
-            if obs.enabled:
-                network = self.node.network
-                # The RemoteResponse is sent inside the span so its frame
-                # carries this hop's context back to the origin directory.
-                with obs.span(
-                    "hop.remote",
-                    trace_id=self._trace_id(payload.origin_directory, payload.query_id),
-                    sim_time=network.runtime.now,
-                    parent=TraceContext.from_traceparent(envelope.trace),
-                    directory=self.node.node_id,
-                    origin=payload.origin_directory,
-                    hops=network.hop_count(payload.origin_directory, self.node.node_id),
-                ) as span:
-                    parsed_before, decoded_before = self.requests_parsed, self.wire_decodes
-                    parsed = self._request_from_wire(payload.wire, payload.document)
-                    results = self._local_results(
-                        payload.origin_directory, payload.document, parsed
-                    )  # step 4
-                    span.attrs["cache"] = self._cache_verdict(parsed_before, decoded_before)
-                    span.attrs["results"] = len(results)
-                    span.attrs["admitted"] = bool(results)
-                    self.node.unicast(
-                        payload.origin_directory,
-                        RemoteResponse(payload.query_id, tuple(results)),
-                    )  # step 5
-            else:
-                parsed = self._request_from_wire(payload.wire, payload.document)
-                results = self._local_results(
-                    payload.origin_directory, payload.document, parsed
-                )  # step 4
-                self.node.unicast(
-                    payload.origin_directory, RemoteResponse(payload.query_id, tuple(results))
-                )  # step 5
+            self._handle_remote_query(payload, trace=envelope.trace)
         elif isinstance(payload, RemoteResponse):
             if self.obs.enabled:
                 self.obs.event(

@@ -12,7 +12,7 @@ from __future__ import annotations
 from repro.core.codes import CodeTable
 from repro.core.directory import SemanticDirectory
 from repro.core.sharding import ShardedSemanticDirectory
-from repro.core.summaries import DirectorySummary, SummaryBank
+from repro.core.summaries import SummaryBank
 from repro.network.messages import CodeRefreshResponse, EncodedRequest
 from repro.protocols.base import ClientAgentBase, DirectoryAgentBase, ResultRow
 from repro.services.profile import Capability, ServiceRequest
@@ -162,11 +162,6 @@ class SAriadneDirectoryAgent(DirectoryAgentBase):
         """Drop a cached advertisement (idempotent)."""
         self.directory.unpublish(service_uri)
 
-    def local_query(self, document: str) -> list[ResultRow]:
-        """Answer a request from the local semantic directory."""
-        matches = self.directory.query_xml(document)
-        return [(m.service_uri, m.capability.uri, m.distance) for m in matches]
-
     def build_summary(self) -> BloomFilter:
         """Snapshot the incrementally-maintained ontology summary."""
         if self.obs.enabled:
@@ -176,16 +171,8 @@ class SAriadneDirectoryAgent(DirectoryAgentBase):
         # over every cached capability (same bits — tested).
         return self.directory.summary.snapshot()
 
-    def summary_admits(self, summary: BloomFilter, document: str) -> bool:
-        """Forward preselection: may the peer's content answer this?"""
-        try:
-            request, _annotations = request_from_xml(document)
-        except ServiceSyntaxError:
-            return False
-        return DirectorySummary.from_bloom(summary).might_answer(request)
-
     # ------------------------------------------------------------------
-    # Backbone fast path: parse/encode once, test/match many times
+    # Request hooks: parse once, then match and test the parsed form
     # ------------------------------------------------------------------
     def parse_request(self, document: str) -> ParsedSemanticRequest | None:
         """Parse a request document once; ``None`` if malformed."""
@@ -195,12 +182,13 @@ class SAriadneDirectoryAgent(DirectoryAgentBase):
             return None
         return ParsedSemanticRequest(request, annotations)
 
-    def local_query_parsed(
-        self, document: str, parsed: ParsedSemanticRequest | None
-    ) -> list[ResultRow]:
-        """Like :meth:`local_query`, reusing an existing parse."""
-        if parsed is None:
-            return self.local_query(document)
+    def local_query(self, parsed: ParsedSemanticRequest) -> list[ResultRow]:
+        """Answer a parsed request from the local semantic directory.
+
+        Raises:
+            StaleCodesError: the request's embedded codes belong to another
+                code-table snapshot.
+        """
         obs = self.obs
         if obs.enabled:
             with obs.span("query.encode", sim_time=self.runtime.now) as span:
@@ -210,14 +198,6 @@ class SAriadneDirectoryAgent(DirectoryAgentBase):
             extra = parsed.resolve(self.directory.table)
         matches = self.directory.query(parsed.request, extra)
         return [(m.service_uri, m.capability.uri, m.distance) for m in matches]
-
-    def summary_admits_parsed(
-        self, summary: BloomFilter, document: str, parsed: ParsedSemanticRequest | None
-    ) -> bool:
-        """Like :meth:`summary_admits`, reusing an existing parse."""
-        if parsed is None:
-            return self.summary_admits(summary, document)
-        return DirectorySummary.from_bloom(summary).might_answer(parsed.request)
 
     def _peer_summary_bank(self) -> SummaryBank:
         """The batch tester over the current peer summaries, rebuilt only
@@ -230,19 +210,17 @@ class SAriadneDirectoryAgent(DirectoryAgentBase):
         return self._summary_bank
 
     def summaries_admitting(
-        self, document: str, parsed: ParsedSemanticRequest | None, peer_ids: list[int]
+        self, parsed: ParsedSemanticRequest, peer_ids: list[int]
     ) -> dict[int, bool]:
-        """Batch §4 preselection: hash the request's ontology items once
-        and test every peer filter in one pass (identical verdicts to the
-        scalar per-peer loop; only the cost changes)."""
-        if parsed is None:
-            return super().summaries_admitting(document, parsed, peer_ids)
+        """Batch §4 preselection: may each peer's content answer this?
+        Hashes the request's ontology items once and tests every peer
+        filter in one pass (the same verdicts as
+        :meth:`~repro.core.summaries.DirectorySummary.might_answer` on
+        each peer's summary)."""
         verdicts = self._peer_summary_bank().might_answer(parsed.request)
-        return {peer_id: verdicts[peer_id] for peer_id in peer_ids if peer_id in verdicts}
+        return {peer_id: verdicts[peer_id] for peer_id in peer_ids}
 
-    def encode_request(
-        self, document: str, parsed: ParsedSemanticRequest
-    ) -> EncodedRequest | None:
+    def encode_request(self, parsed: ParsedSemanticRequest) -> EncodedRequest | None:
         """Pack the parsed request for forwarding (peers skip the XML)."""
         return parsed.to_wire()
 

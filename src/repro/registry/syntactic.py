@@ -5,7 +5,7 @@ interface descriptions, and thus assume worldwide knowledge and agreement
 about service interfaces" (§1).  The registry below is that baseline: a
 linear scan of cached WSDL descriptions with string-equality interface
 conformance (:meth:`repro.services.wsdl.WsdlDescription.conforms_to`),
-optionally accelerated by a keyword inverted index.
+shortlisted by a keyword inverted index when the request carries keywords.
 
 Its response time grows with the number of cached services — the rising
 Ariadne curve of Fig. 10 — because nothing about a WSDL description allows
@@ -67,15 +67,12 @@ def _wsdl_of_request(request: ServiceRequest) -> WsdlRequest:
 class SyntacticRegistry:
     """A WSDL/UDDI-style registry with linear-scan interface matching.
 
-    Args:
-        use_keyword_index: maintain an inverted keyword index used only to
-            shortlist candidates when the request carries keywords (UDDI's
-            category-bag analogue); conformance is still checked per
-            candidate.
+    An inverted keyword index shortlists candidates when the request
+    carries keywords (UDDI's category-bag analogue); conformance is still
+    checked per candidate.
     """
 
-    def __init__(self, use_keyword_index: bool = True) -> None:
-        self.use_keyword_index = use_keyword_index
+    def __init__(self) -> None:
         self._services: dict[str, WsdlDescription] = {}
         self._by_keyword: dict[str, set[str]] = defaultdict(set)
         self.timer = PhaseTimer()
@@ -158,7 +155,7 @@ class SyntacticRegistry:
     # Matching
     # ------------------------------------------------------------------
     def _candidates(self, request: WsdlRequest) -> list[WsdlDescription]:
-        if self.use_keyword_index and request.keywords:
+        if request.keywords:
             # The shortlist is authoritative: keyword preselection, like the
             # §4 Bloom summaries, may miss but never falls back to a scan.
             uris: set[str] = set()
@@ -225,11 +222,7 @@ class SyntacticRegistry:
             "kind": type(self).__name__,
             "services": len(self),
             "capability_count": self.capability_count,
-            "index": (
-                "keyword inverted index"
-                if self.use_keyword_index
-                else "linear scan"
-            ),
+            "index": "keyword inverted index",
         }
 
     def describe(self) -> str:

@@ -190,9 +190,9 @@ def document_key(document: str) -> bytes:
 class RequestCache(VersionedLruCache):
     """Content-addressed memo of parsed/encoded request documents.
 
-    The backbone fast path parses and encodes a request document exactly
-    once per node: ``local_query``, ``summary_admits`` (once per admitted
-    peer) and ``_rank_forward_peers`` all share the entry.  Keys are
+    A directory parses and encodes a request document exactly once per
+    node: ``local_query`` and ``summaries_admitting`` (via
+    ``_rank_forward_peers``) share the entry.  Keys are
     :func:`document_key` digests; values are whatever parsed form the
     protocol produces (S-Ariadne: the request plus its resolved interval
     codes).

@@ -215,3 +215,58 @@ def test_election_and_advert_over_live_fabric(tmp_path):
         await server.close()
 
     run(scenario())
+
+
+def test_malformed_query_answered_and_connection_survives(
+    tmp_path, small_workload, small_table
+):
+    """A query whose document does not parse gets a zero-row answer, and
+    the peer connection keeps serving: a well-formed query sent after it
+    on the same socket is answered too."""
+    from repro.network.messages import QueryRequest, QueryResponse
+    from repro.protocols.sariadne import SAriadneDirectoryAgent
+    from repro.services.xml_codec import profile_to_xml, request_to_xml
+
+    profile = small_workload.make_service(0)
+    advert = profile_to_xml(
+        profile,
+        annotations=small_table.annotate(profile.provided),
+        codes_version=small_table.version,
+    )
+    request = small_workload.matching_request(profile)
+    good = request_to_xml(
+        request,
+        annotations=small_table.annotate(request.capabilities),
+        codes_version=small_table.version,
+    )
+
+    async def answer(log, query_id):
+        deadline = asyncio.get_event_loop().time() + 5.0
+        while True:
+            for envelope in log.got:
+                payload = envelope.payload
+                if isinstance(payload, QueryResponse) and payload.query_id == query_id:
+                    return payload
+            assert asyncio.get_event_loop().time() < deadline, f"query {query_id} unanswered"
+            await asyncio.sleep(0.01)
+
+    async def scenario():
+        address = f"unix:{os.path.join(str(tmp_path), 's.sock')}"
+        server = LiveFabric(0, listen=address)
+        server.node.add_agent(SAriadneDirectoryAgent(small_table))
+        client = LiveFabric(1, peers={0: address})
+        log = client.node.add_agent(Recorder())
+        await server.start()
+        await client.start()
+        try:
+            assert client.node.unicast(0, PublishService(advert))
+            assert client.node.unicast(0, QueryRequest(1, "<garbage"))
+            assert (await answer(log, 1)).results == ()
+            assert client.node.unicast(0, QueryRequest(2, good))
+            rows = (await answer(log, 2)).results
+            assert any(row[0] == profile.uri for row in rows)
+        finally:
+            await client.close()
+            await server.close()
+
+    run(scenario())

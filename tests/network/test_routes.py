@@ -107,9 +107,8 @@ class TestRouteCacheChurn:
         assert network.hop_count(0, 1) == 1  # wired link short-circuits
         assert network.routes.stats.bfs_runs > runs_before
 
-    def test_disabled_cache_matches_reference(self):
+    def test_cached_routes_match_reference(self):
         network, _rng = make_network(seed=7)
-        network.use_route_cache = False
         for source in network.nodes:
             for dest in network.nodes:
                 reference = network._bfs_shortest_path(source, dest)

@@ -110,11 +110,11 @@ class TestStackEmission:
             def parse_request(self, document):
                 return document.upper()
 
-            def local_query(self, document):
+            def local_query(self, parsed):
                 return []
 
-            def local_query_parsed(self, document, parsed):
-                return []
+            def summaries_admitting(self, parsed, peer_ids):
+                return {peer_id: False for peer_id in peer_ids}
 
         sim, network = _mesh_network()
         sink = RingBufferSink()

@@ -21,8 +21,9 @@ from repro.util.bloom import BloomFilter
 
 
 class ToyDirectory(DirectoryAgentBase):
-    """A trivial directory: stores documents verbatim, answers by substring,
-    summarizes by document text, admits when the probe text is present."""
+    """A trivial directory: stores documents verbatim, parses a request to
+    its own text, answers by substring, summarizes by document text, admits
+    when the probe text is present."""
 
     def __init__(self, **kwargs):
         super().__init__(**kwargs)
@@ -35,8 +36,11 @@ class ToyDirectory(DirectoryAgentBase):
     def local_withdraw(self, service_uri: str) -> None:
         self.documents = [d for d in self.documents if service_uri not in d]
 
-    def local_query(self, document: str):
-        return [(doc, doc, 0) for doc in self.documents if document in doc]
+    def parse_request(self, document: str) -> str:
+        return document
+
+    def local_query(self, parsed: str):
+        return [(doc, doc, 0) for doc in self.documents if parsed in doc]
 
     def build_summary(self) -> BloomFilter:
         bloom = BloomFilter(self.summary_bits, self.summary_hashes)
@@ -44,9 +48,9 @@ class ToyDirectory(DirectoryAgentBase):
             bloom.add(doc)
         return bloom
 
-    def summary_admits(self, summary: BloomFilter, document: str) -> bool:
+    def summaries_admitting(self, parsed: str, peer_ids):
         # Toy rule: peer may hold docs equal to the probe.
-        return document in summary
+        return {peer_id: parsed in self.peer_summaries[peer_id] for peer_id in peer_ids}
 
 
 def mesh(directory_count=2, client_count=1):

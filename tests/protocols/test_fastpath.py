@@ -5,45 +5,73 @@ per peer-summary probe, once per local match, once per receiving
 directory.  The fast path parses it once at the origin (content-addressed
 request cache) and ships the parsed form on the wire; these tests pin
 the parse counts, the wire decode/fallback paths, the §3.2 stale-code
-recovery, and result parity with the fast path disabled.
+recovery, forwarded answers against an in-process directory, and the
+empty, unforwarded answer to a request that does not parse.
 """
 
 import pytest
 
+from repro.core.directory import SemanticDirectory
 from repro.network.messages import (
     EncodedRequest,
     PublishService,
+    QueryRequest,
+    QueryResponse,
     RemoteQuery,
+    RemoteResponse,
     SummaryRequest,
 )
-from repro.network.node import Network
+from repro.network.node import Network, ProtocolAgent
 from repro.network.simulator import Simulator
 from repro.network.topology import Bounds, Position
+from repro.protocols.ariadne import AriadneClientAgent, AriadneDirectoryAgent
 from repro.protocols.sariadne import SAriadneClientAgent, SAriadneDirectoryAgent
-from repro.services.xml_codec import CODEC_STATS, profile_to_xml, request_to_xml
+from repro.services.wsdl import WsdlDescription, WsdlOperation, WsdlRequest
+from repro.services.xml_codec import (
+    CODEC_STATS,
+    profile_to_xml,
+    request_to_xml,
+    wsdl_to_xml,
+)
 
 from tests.protocols.test_base import mesh
 
 
-def semantic_mesh(table, directory_count=3, fastpath=True):
-    """Full-mesh S-Ariadne backbone plus one client homed on directory 0."""
+def protocol_mesh(make_directory, make_client, directory_count=3):
+    """Full-mesh backbone plus one client homed on directory 0."""
     sim = Simulator()
     network = Network(sim, bounds=Bounds(100, 100), radio_range=500.0)
     directories = {}
     nid = 0
     for _ in range(directory_count):
         node = network.add_node(nid, Position(10.0 * nid, 10.0))
-        agent = node.add_agent(SAriadneDirectoryAgent(table, forward_window=0.5))
-        agent.use_fastpath = fastpath
-        directories[nid] = agent
+        directories[nid] = node.add_agent(make_directory())
         nid += 1
     client_node = network.add_node(nid, Position(10.0 * nid, 20.0))
-    client = client_node.add_agent(SAriadneClientAgent(lambda: 0))
+    client = client_node.add_agent(make_client(lambda: 0))
     network.start()
     for agent in directories.values():
         agent.join_backbone()
     sim.run(until=5.0)
     return sim, network, directories, client
+
+
+def semantic_mesh(table, directory_count=3):
+    """Full-mesh S-Ariadne backbone plus one client homed on directory 0."""
+    return protocol_mesh(
+        lambda: SAriadneDirectoryAgent(table, forward_window=0.5),
+        SAriadneClientAgent,
+        directory_count,
+    )
+
+
+def syntactic_mesh(directory_count=3):
+    """Full-mesh Ariadne backbone plus one client homed on directory 0."""
+    return protocol_mesh(
+        lambda: AriadneDirectoryAgent(forward_window=0.5),
+        AriadneClientAgent,
+        directory_count,
+    )
 
 
 def profile_doc(workload, table, index):
@@ -94,24 +122,26 @@ class TestParseOnceForwarding:
         assert directories[0].requests_parsed == 1
         assert directories[0].request_cache.stats.hits >= 3
 
-    def test_fastpath_results_match_legacy(self, small_workload, small_table):
-        rows = {}
-        for fastpath in (True, False):
-            sim, network, _directories, client = semantic_mesh(
-                small_table, fastpath=fastpath
+    def test_forwarded_answers_match_directory_oracle(self, small_workload, small_table):
+        """Answers assembled over the backbone equal one in-process
+        directory holding every advertisement."""
+        sim, network, _directories, client = semantic_mesh(small_table)
+        oracle = SemanticDirectory(small_table)
+        for index in range(4):
+            _uri, doc = profile_doc(small_workload, small_table, index)
+            network.nodes[3].unicast((index % 2) + 1, PublishService(doc))  # remote only
+            oracle.publish_xml(doc)
+        sim.run(until=sim.now + 3.0)
+        for index in range(4):
+            doc = request_doc(small_workload, small_table, index)
+            query_id = client.query(doc)
+            sim.run(until=sim.now + 5.0)
+            expected = sorted(
+                {(m.service_uri, m.capability.uri, m.distance) for m in oracle.query_xml(doc)},
+                key=lambda row: (row[2], row[0]),
             )
-            network.use_route_cache = fastpath
-            for index in range(3):
-                _uri, doc = profile_doc(small_workload, small_table, index)
-                network.nodes[3].unicast((index % 2) + 1, PublishService(doc))
-            sim.run(until=sim.now + 3.0)
-            collected = []
-            for index in range(3):
-                query_id = client.query(request_doc(small_workload, small_table, index))
-                sim.run(until=sim.now + 5.0)
-                collected.append(client.responses[query_id][1])
-            rows[fastpath] = collected
-        assert rows[True] == rows[False]
+            assert expected
+            assert client.responses[query_id][1] == tuple(expected)
 
     def test_wire_version_mismatch_falls_back_to_document(
         self, small_workload, small_table
@@ -133,6 +163,81 @@ class TestParseOnceForwarding:
         network.nodes[0].unicast(1, RemoteQuery(98, doc, 0, wire=foreign))
         sim.run(until=sim.now + 2.0)
         assert directories[1].wire_fallbacks == 1
+
+
+class Recorder(ProtocolAgent):
+    """Collects the payloads of the given kinds delivered to its node."""
+
+    def __init__(self, kinds):
+        super().__init__()
+        self.kinds = kinds
+        self.got = []
+
+    def on_message(self, envelope) -> None:
+        if isinstance(envelope.payload, self.kinds):
+            self.got.append(envelope.payload)
+
+
+def _wsdl(cls, uri, **fields):
+    operation = WsdlOperation("getStream", inputs=("title",), outputs=("stream",))
+    return wsdl_to_xml(cls(uri=uri, operations=(operation,), keywords=("media",), **fields))
+
+
+@pytest.fixture(params=["sariadne", "ariadne"])
+def backbone(request, small_workload, small_table):
+    """A 3-directory backbone with one service held by directory 1 only.
+
+    Returns the mesh, a well-formed request for that service, its URI and
+    a well-formed document that is not a request (an advertisement).
+    """
+    if request.param == "sariadne":
+        sim, network, directories, client = semantic_mesh(small_table)
+        uri, advert = profile_doc(small_workload, small_table, 0)
+        good = request_doc(small_workload, small_table, 0)
+    else:
+        sim, network, directories, client = syntactic_mesh()
+        uri = "urn:x:svc:1"
+        advert = _wsdl(WsdlDescription, uri, port_type="Media")
+        good = _wsdl(WsdlRequest, "urn:x:req:1")
+    network.nodes[3].unicast(1, PublishService(advert))
+    sim.run(until=sim.now + 3.0)
+    return sim, network, directories, client, good, uri, advert
+
+
+def _still_answers(sim, directories, client, good, uri):
+    """The backbone keeps running: a well-formed query is forwarded to
+    directory 1 and answered."""
+    query_id = client.query(good)
+    sim.run(until=sim.now + 5.0)
+    assert directories[0].queries_forwarded == 1
+    assert any(row[0] == uri for row in client.responses[query_id][1])
+
+
+class TestMalformedRequests:
+    """A request document that does not parse gets an empty answer and is
+    never forwarded; the directory keeps serving."""
+
+    @pytest.mark.parametrize("bad", ["<garbage", "advert"])
+    def test_client_query_answered_empty_and_not_forwarded(self, backbone, bad):
+        sim, network, directories, client, good, uri, advert = backbone
+        document = advert if bad == "advert" else bad
+        responses = network.nodes[3].add_agent(Recorder(QueryResponse))
+        network.nodes[3].unicast(0, QueryRequest(41, document))
+        sim.run(until=sim.now + 3.0)
+        assert responses.got == [QueryResponse(41, ())]
+        assert all(agent.queries_forwarded == 0 for agent in directories.values())
+        _still_answers(sim, directories, client, good, uri)
+
+    @pytest.mark.parametrize("bad", ["<garbage", "advert"])
+    def test_remote_query_answered_empty(self, backbone, bad):
+        sim, network, directories, client, good, uri, advert = backbone
+        document = advert if bad == "advert" else bad
+        responses = network.nodes[0].add_agent(Recorder(RemoteResponse))
+        network.nodes[0].unicast(1, RemoteQuery(42, document, 0))
+        sim.run(until=sim.now + 3.0)
+        assert responses.got == [RemoteResponse(42, ())]
+        assert all(agent.queries_forwarded == 0 for agent in directories.values())
+        _still_answers(sim, directories, client, good, uri)
 
 
 class TestStaleCodeRecovery:

@@ -68,7 +68,7 @@ class TestQuery:
         assert registry.query_wsdl(req(name="fetchStream")) == []
 
     def test_keyword_index_shortlists(self):
-        registry = SyntacticRegistry(use_keyword_index=True)
+        registry = SyntacticRegistry()
         registry.publish_wsdl(desc(uri="urn:x:svc:1", keywords=("media",)))
         registry.publish_wsdl(desc(uri="urn:x:svc:2", keywords=("printer",)))
         hits = registry.query_wsdl(req(keywords=("media",)))
