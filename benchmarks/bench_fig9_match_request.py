@@ -10,14 +10,13 @@ compared with an unclassified one.  Findings to reproduce in shape:
   well below — 2026 hardware and no 2006 XML stack);
 * results are reported without request parse time, as in the paper.
 
-A third series shows the flat directory with the sorted interval index
+A third series shows the flat directory answered by the packed engine
 (docs/PERFORMANCE.md): identical result sets, but candidate entries are
-found by bisection instead of scanning every cached capability.
+found by interval-index stabs and postings instead of scanning every
+cached capability.  Each point is the median of 50 warm queries.
 """
 
 from __future__ import annotations
-
-import time
 
 import pytest
 
@@ -26,7 +25,6 @@ from repro.core.directory import FlatDirectory, SemanticDirectory
 from repro.services.generator import ServiceWorkload
 
 DIRECTORY_SIZES = [1, 20, 40, 60, 80, 100]
-REPEATS = 50
 
 
 @pytest.fixture(scope="module")
@@ -51,13 +49,6 @@ def populations(directory_workload: ServiceWorkload, directory_table):
     return classified, flat, flat_indexed, request
 
 
-def _mean_query_seconds(directory, request, repeats=REPEATS) -> float:
-    start = time.perf_counter()
-    for _ in range(repeats):
-        directory.query(request)
-    return (time.perf_counter() - start) / repeats
-
-
 def test_optimized_query_100(benchmark, populations):
     classified, _flat, _flat_indexed, request = populations
     hits = benchmark(classified[100].query, request)
@@ -71,7 +62,7 @@ def test_flat_query_100(benchmark, populations):
 
 
 def test_flat_indexed_query_100(benchmark, populations):
-    """Flat directory accelerated by the interval index — same results."""
+    """Flat directory answered by the packed engine — same results."""
     _classified, flat, flat_indexed, request = populations
     hits = benchmark(flat_indexed[100].query, request)
     assert hits
@@ -91,7 +82,7 @@ def test_fig9_report(benchmark):
     indexed_times = [result.extras[f"flat_indexed_{size}"] for size in DIRECTORY_SIZES]
     optimized_times = [result.extras[f"optimized_{size}"] for size in DIRECTORY_SIZES]
     # Shape checks: flat degrades with size, classified stays flatter and
-    # is faster at the maximum size, and the interval index beats the
+    # is faster at the maximum size, and the packed engine beats the
     # linear scan decisively at the maximum size.
     assert flat_times[-1] > flat_times[0]
     assert flat_times[-1] > optimized_times[-1]

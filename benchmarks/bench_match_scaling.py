@@ -7,7 +7,8 @@ pits it against the scalar per-entry matcher on identical content:
 * ``scalar`` — ``FlatDirectory(use_interval_index=False)``: the paper's
   linear scan, one ``match_outcome`` per cached capability (measured only
   up to 10⁴ entries; beyond that it is minutes per point);
-* ``batch`` — the same directory with ``use_batch_engine=True``.
+* ``batch`` — ``FlatDirectory(table)``: the packed engine over the same
+  flat list.
 
 Gates (hard asserts, also exported for ``obs regress``):
 
@@ -73,7 +74,7 @@ def test_match_scaling_report():
     scalar_series: dict[int, float] = {}
 
     for size in SIZES:
-        batch_dir = FlatDirectory(table, use_interval_index=False, use_batch_engine=True)
+        batch_dir = FlatDirectory(table)
         scalar_dir = FlatDirectory(table, use_interval_index=False)
         measure_scalar = size <= SCALAR_CAP
         # iter_services streams the population: no profile list is ever

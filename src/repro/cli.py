@@ -88,9 +88,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         await server.start()
         print(f"serve: node {args.node_id} listening on {args.listen}", flush=True)
         await server.wait_elected(timeout=args.election_timeout)
-        shards = config.directory_shards
         print(
-            f"serve: elected directory (shards={shards});"
+            "serve: elected directory;"
             + (f" metrics on {args.metrics}" if args.metrics else ""),
             flush=True,
         )
@@ -586,42 +585,22 @@ def _load_workload_documents(root: pathlib.Path) -> tuple[CodeTable | None, list
 
 def _cmd_dir_stats(args: argparse.Namespace) -> int:
     from repro.core.directory import SemanticDirectory
-    from repro.core.sharding import ShardedSemanticDirectory
 
     root = pathlib.Path(args.workload_dir)
     table, documents = _load_workload_documents(root)
     if table is None:
         print(f"no ontology_*.xml files under {root}", file=sys.stderr)
         return 2
-    if args.shards > 1:
-        directory = ShardedSemanticDirectory(table, args.shards)
-    else:
-        directory = SemanticDirectory(table)
+    directory = SemanticDirectory(table)
     directory.publish_xml_batch(documents)
     print(
         f"{len(documents)} service(s), {directory.capability_count} capabilities "
         f"from {root}"
     )
-    if args.shards > 1:
-        router = directory.router
-        sizes = router.shard_sizes()
-        total = max(1, sum(sizes))
-        print(f"shards: {args.shards}  skew (max/mean): {router.skew():.2f}")
-        print(f"{'shard':>6} {'services':>9} {'capabilities':>13} {'share':>7} graphs")
-        for index, shard in enumerate(router.shards):
-            share = 100.0 * sizes[index] / total
-            print(
-                f"{index:>6} {len(shard):>9} {sizes[index]:>13} {share:6.1f}% "
-                f"{shard.graph_count}"
-            )
-    else:
-        print(repr(directory))
+    print(repr(directory))
     if args.describe:
         print()
-        if args.shards > 1:
-            print(directory.describe())
-        else:
-            print(directory.describe_graphs())
+        print(directory.describe_graphs())
     return 0
 
 
@@ -692,26 +671,17 @@ def build_parser() -> argparse.ArgumentParser:
     inspect.add_argument("workload_dir", help="output of the 'workload' command")
     inspect.set_defaults(func=_cmd_inspect)
 
-    dir_cmd = subparsers.add_parser(
-        "dir", help="directory content tools: per-shard stats and skew"
-    )
+    dir_cmd = subparsers.add_parser("dir", help="directory content tools")
     dir_sub = dir_cmd.add_subparsers(dest="dir_command", required=True)
     dir_stats = dir_sub.add_parser(
         "stats",
-        help="publish a workload dir into a (sharded) directory and report"
-        " capability counts with per-shard skew",
+        help="publish a workload dir into a directory and report capability counts",
     )
     dir_stats.add_argument("workload_dir", help="output of the 'workload' command")
     dir_stats.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="shard count; > 1 reports the sharded tier's per-shard skew (default 1)",
-    )
-    dir_stats.add_argument(
         "--describe",
         action="store_true",
-        help="also dump the full per-shard content description",
+        help="also dump the capability graphs",
     )
     dir_stats.set_defaults(func=_cmd_dir_stats)
 

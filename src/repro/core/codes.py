@@ -34,6 +34,10 @@ class StaleCodesError(ValueError):
     """Raised when embedded codes were minted against another snapshot."""
 
 
+class MalformedCodeError(ValueError):
+    """Raised when an embedded concept code string does not parse."""
+
+
 @dataclass(frozen=True)
 class ConceptCode:
     """Wire-friendly form of one concept's interval code."""
@@ -93,7 +97,7 @@ class ConceptCode:
         """Parse the :meth:`serialize` format.
 
         Raises:
-            ValueError: on malformed input.
+            MalformedCodeError: on malformed input.
         """
         try:
             tree_part, depth_part, code_part = data.split(";", 2)
@@ -106,7 +110,7 @@ class ConceptCode:
                 uri=uri, tree_lo=tree_lo, tree_hi=tree_hi, code=code, depth=int(depth_part)
             )
         except (ValueError, TypeError) as exc:
-            raise ValueError(f"malformed concept code for {uri}: {data!r}") from exc
+            raise MalformedCodeError(f"malformed concept code for {uri}: {data!r}") from exc
 
 
 class CodeTable:
@@ -234,7 +238,7 @@ class CodeTable:
                 table's version — the sender must refresh its codes
                 ("services periodically check the version of codes that
                 they are using", §3.2).
-            ValueError: on malformed code strings.
+            MalformedCodeError: on malformed code strings.
         """
         if version != self.version:
             raise StaleCodesError(

@@ -6,9 +6,9 @@ concepts with the code table, classifies their capabilities into
 :class:`~repro.core.capability_graph.CapabilityDag` graphs *indexed by the
 ontology sets they use*, and answers requests with a handful of numeric
 matches.  :class:`FlatDirectory` is the unclassified baseline of Fig. 9:
-same code-based matching, but every cached capability is evaluated per
-request (optionally narrowed by a sorted interval index — see
-``docs/PERFORMANCE.md``).
+same code-based matching, but no capability graphs: by default the packed
+batch engine answers over every cached capability, and the paper's linear
+scan stays available (see ``docs/PERFORMANCE.md``).
 
 The query engine shares two directory-owned structures across all the
 short-lived matchers it creates (``docs/PERFORMANCE.md`` quantifies both):
@@ -34,7 +34,6 @@ from dataclasses import dataclass
 
 from repro.core.capability_graph import CapabilityDag, GraphMatch, QueryMode
 from repro.core.codes import CodeTable, StaleCodesError
-from repro.core.interval_index import CandidateIndex
 from repro.core.matching import CodeMatcher, Matcher, MatcherStats
 from repro.core.packed import BatchMatchEngine
 from repro.core.summaries import DirectorySummary
@@ -192,6 +191,7 @@ class SemanticDirectory:
         Raises:
             ServiceSyntaxError: malformed document.
             StaleCodesError: embedded codes minted against another snapshot.
+            MalformedCodeError: an embedded code does not parse.
         """
         with self.timer.phase("parse"):
             profile, annotations = profile_from_xml(document)
@@ -212,6 +212,7 @@ class SemanticDirectory:
         Raises:
             ServiceSyntaxError: a malformed document.
             StaleCodesError: a document with codes from another snapshot.
+            MalformedCodeError: a document with an unparseable code.
         """
         with self.timer.phase("parse"):
             parsed = [profile_from_xml(document) for document in documents]
@@ -231,15 +232,6 @@ class SemanticDirectory:
     def publish(self, profile: ServiceProfile) -> None:
         """Publish an already-parsed advertisement."""
         self._publish(profile, None)
-
-    def publish_profile(
-        self, profile: ServiceProfile, extra_codes: dict | None = None
-    ) -> None:
-        """Publish an already-parsed advertisement with pre-resolved §3.2
-        annotation codes (the parse-once path sharding and protocol layers
-        use: the document was parsed and its annotations resolved upstream,
-        so this directory only classifies)."""
-        self._publish(profile, extra_codes)
 
     def publish_batch(self, profiles: Iterable[ServiceProfile]) -> int:
         """Publish many already-parsed advertisements; returns the count.
@@ -352,6 +344,7 @@ class SemanticDirectory:
         Raises:
             ServiceSyntaxError: malformed document.
             StaleCodesError: embedded codes minted against another snapshot.
+            MalformedCodeError: an embedded code does not parse.
         """
         obs = self._obs
         with obs.span("query.parse") if obs.enabled else nullcontext():
@@ -505,38 +498,22 @@ class FlatDirectory:
 
     Args:
         table: code table snapshotting the ontologies in force.
-        use_interval_index: preselect candidate entries with a sorted
-            interval index over the cached capabilities' code intervals
-            (:class:`~repro.core.interval_index.CandidateIndex`) instead of
-            evaluating every entry.  Result sets are identical (the index
-            is a sound filter; a property test proves the equality) — only
-            the number of matcher evaluations changes.  The Fig. 9 "flat"
-            baseline disables this to keep the paper's linear scan.
-        use_batch_engine: answer queries with the packed batch engine
+        use_interval_index: answer queries with the packed batch engine
             (:class:`~repro.core.packed.BatchMatchEngine`): each requested
             concept's subsumers come from one interval-index stab, a
             postings intersection prunes the entries, and survivors are
             ranked by segmented sums instead of per-entry scalar matching.
             Results are identical to the scalar path (property-tested).
-            ``None`` (default) follows ``use_interval_index``, so the
-            paper's linear-scan baseline stays scalar.
+            The Fig. 9 "flat" baseline disables this to keep the paper's
+            linear scan, one scalar match per cached capability.
     """
 
-    def __init__(
-        self,
-        table: CodeTable,
-        use_interval_index: bool = True,
-        use_batch_engine: bool | None = None,
-    ) -> None:
+    def __init__(self, table: CodeTable, use_interval_index: bool = True) -> None:
         self.table = table
         self.use_interval_index = use_interval_index
-        self.use_batch_engine = (
-            use_interval_index if use_batch_engine is None else use_batch_engine
-        )
         self._entries: dict[int, tuple[Capability, str]] = {}
         self._by_service: dict[str, list[int]] = {}
         self._ids = itertools.count(1)
-        self._index = CandidateIndex() if use_interval_index else None
         self._profiles: dict[str, ServiceProfile] = {}
         #: Content epoch: bumped on every publish/unpublish so epoch-keyed
         #: caches (the packed engine tables) know when to rebuild — the
@@ -572,13 +549,10 @@ class FlatDirectory:
         self._profiles[profile.uri] = profile
         self._epoch += 1
         entry_ids = self._by_service.setdefault(profile.uri, [])
-        lookup = self._lookup if self._index is not None else None
         for capability in profile.provided:
             entry_id = next(self._ids)
             self._entries[entry_id] = (capability, profile.uri)
             entry_ids.append(entry_id)
-            if self._index is not None:
-                self._index.insert(entry_id, capability, lookup)
 
     def publish_batch(self, profiles: Iterable[ServiceProfile]) -> int:
         """Cache many advertisements; returns the count."""
@@ -607,8 +581,6 @@ class FlatDirectory:
             self._epoch += 1
         for entry_id in entry_ids:
             del self._entries[entry_id]
-            if self._index is not None:
-                self._index.discard(entry_id)
         self._profiles.pop(service_uri, None)
         return len(entry_ids)
 
@@ -634,17 +606,12 @@ class FlatDirectory:
         return self._engine
 
     def _query(self, request: ServiceRequest, matcher: CodeMatcher) -> list[DirectoryMatch]:
-        if self.use_batch_engine:
+        if self.use_interval_index:
             return self._query_batched(request)
         results: list[DirectoryMatch] = []
         with self.timer.phase("match"):
             for requested in request.capabilities:
-                if self._index is not None:
-                    candidates = self._index.candidates(requested, matcher.lookup)
-                    entry_ids = self._entries.keys() if candidates is None else candidates
-                else:
-                    entry_ids = self._entries.keys()
-                ordered = list(entry_ids)
+                ordered = list(self._entries)
                 provided = [self._entries[entry_id][0] for entry_id in ordered]
                 distances = matcher.semantic_distance_many(provided, requested)
                 hits = []
@@ -679,38 +646,34 @@ class FlatDirectory:
         return results
 
     def export_metrics(self) -> None:
-        """Mirror matcher counters and interval-index health (pending
-        tombstones, rebuilds paid) into the obs metric registry.
+        """Mirror matcher counters into the obs metric registry.
         Pull-based, like :meth:`SemanticDirectory.export_metrics`."""
         obs = self.obs
         obs.counter("dir.capability_matches").set(self.stats.capability_matches)
         obs.counter("dir.concept_comparisons").set(self.stats.concept_comparisons)
-        if self._index is not None:
-            obs.counter("index.tombstones").set(self._index.tombstones)
-            obs.counter("index.rebuilds").set(self._index.rebuilds)
 
     def describe_info(self) -> dict:
         """Structured backend summary (the normalized ``describe`` schema:
         ``kind``/``services``/``capability_count``/``index``)."""
-        index = "interval-indexed" if self.use_interval_index else "linear-scan"
-        engine = "packed engine" if self.use_batch_engine else "scalar matcher"
+        index = (
+            "interval-indexed, packed engine"
+            if self.use_interval_index
+            else "linear-scan, scalar matcher"
+        )
         return {
             "kind": type(self).__name__,
             "services": len(self),
             "capability_count": self.capability_count,
-            "index": f"{index}, {engine}",
+            "index": index,
         }
 
     def describe(self) -> str:
-        """Backend summary, with interval-index health when indexed."""
+        """One-line backend summary."""
         info = self.describe_info()
-        line = (
+        return (
             f"{info['kind']}: {info['services']} services, "
             f"{info['capability_count']} capabilities, {info['index']}"
         )
-        if self._index is not None:
-            line += "\n  " + self._index.describe().replace("\n", "\n  ")
-        return line
 
     def __repr__(self) -> str:
         return f"FlatDirectory({len(self)} services, {self.capability_count} capabilities)"

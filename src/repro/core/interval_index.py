@@ -23,8 +23,11 @@ can only satisfy ``Match(provided, requested)`` if, for *every* requested
 output, some provided output subsumes it (and likewise for properties), so
 the candidate set is the intersection of per-concept stab results — a
 sound preselection whose survivors are then confirmed by the real matcher.
-The property tests in ``tests/core/test_interval_index.py`` prove the
-result sets identical to the linear scan.
+No directory keeps one: the packed engine (:mod:`repro.core.packed`)
+stabs an :class:`IntervalIndex` per requested concept, and the capability
+graphs' candidate sets are tested against a :class:`CandidateIndex`.
+The property tests in ``tests/core/test_interval_index.py`` prove
+stabbing identical to the linear scan.
 """
 
 from __future__ import annotations
@@ -96,8 +99,8 @@ class IntervalIndex:
     def tombstones(self) -> int:
         """Distinct interval nodes currently emptied in place.
 
-        These are the pending compaction debt of churn (unpublish storms,
-        shard rebalances): each is a node whose ids were all discarded but
+        These are the pending compaction debt of churn (unpublish
+        storms): each is a node whose ids were all discarded but
         whose slot still occupies the sorted structure until the deferred
         rebuild fires (see :data:`STALE_NODE_REBUILD_MIN`).
         """

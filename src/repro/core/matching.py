@@ -262,7 +262,7 @@ class CodeMatcher(Matcher):
     first use and reused by every later matcher until the table version
     changes.  With ``share_compiled`` the compiled capabilities are cache
     entries too, keyed by the capability, so an equal capability matched
-    by a later matcher (the next query, another shard) is not compiled
+    by a later matcher (the next query) is not compiled
     again.
 
     :meth:`subsumers` hands the same maps to capability graphs for

@@ -24,19 +24,11 @@ DEFAULT_BITS = 512
 DEFAULT_HASHES = 4
 
 
-def canonical_ontology_set(ontologies: frozenset[str]) -> str:
-    """The canonical string form of an ontology set ``O(C)``.
-
-    This exact string is what the §4 summaries hash ("the capability
-    description in terms of used ontologies"), and what the shard router
-    (:mod:`repro.core.sharding`) hashes to place an advertisement — shared
-    on purpose, so a summary admission test and a shard routing decision
-    agree on the keying.
-    """
+def _canonical_set(ontologies: frozenset[str]) -> str:
+    """The canonical string form of an ontology set ``O(C)``: the item the
+    §4 summaries hash ("the capability description in terms of used
+    ontologies")."""
     return "|".join(sorted(ontologies))
-
-
-_canonical_set = canonical_ontology_set
 
 
 class DirectorySummary:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import os
 import pickle
+import statistics
 import time
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
@@ -76,6 +77,18 @@ def _mean_seconds(fn: Callable[[], object], repeats: int) -> float:
     for _ in range(repeats):
         fn()
     return (time.perf_counter() - start) / repeats
+
+
+def _median_seconds(fn: Callable[[], object], repeats: int) -> float:
+    """Median of ``repeats`` timed calls after one untimed warm-up call:
+    a cold first call and a scheduler outlier move a mean, not a median."""
+    fn()
+    timings = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        timings.append(time.perf_counter() - start)
+    return statistics.median(timings)
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +269,8 @@ def fig8_publish(seed: int = 42, sizes: list[int] | None = None, repeats: int = 
 def fig9_match_request(
     seed: int = 42, sizes: list[int] | None = None, repeats: int = 50
 ) -> ExperimentResult:
-    """E5: optimized (classified) vs non-optimized query time."""
+    """E5: optimized (classified) vs non-optimized query time, each point
+    the median of ``repeats`` warm queries."""
     sizes = sizes if sizes is not None else DIRECTORY_SIZES
     workload = directory_workload(seed)
     table = _table_for(workload)
@@ -274,18 +288,18 @@ def fig9_match_request(
     for size in sizes:
         classified = SemanticDirectory(table)
         # The paper's non-optimized baseline is a genuine linear scan; the
-        # third column shows the same flat directory with the sorted
-        # interval index (docs/PERFORMANCE.md) — identical results, fewer
-        # semantic matches.
+        # third column shows the same flat directory answered by the packed
+        # engine (docs/PERFORMANCE.md) — identical results, fewer semantic
+        # matches.
         flat = FlatDirectory(table, use_interval_index=False)
         flat_indexed = FlatDirectory(table)
         profiles = [workload.make_service(index) for index in range(size)]
         classified.publish_batch(profiles)
         flat.publish_batch(profiles)
         flat_indexed.publish_batch(profiles)
-        optimized = _mean_seconds(lambda: classified.query(request), repeats)
-        unoptimized = _mean_seconds(lambda: flat.query(request), repeats)
-        indexed = _mean_seconds(lambda: flat_indexed.query(request), repeats)
+        optimized = _median_seconds(lambda: classified.query(request), repeats)
+        unoptimized = _median_seconds(lambda: flat.query(request), repeats)
+        indexed = _median_seconds(lambda: flat_indexed.query(request), repeats)
         result.rows.append(
             [
                 size,
@@ -305,7 +319,7 @@ def fig9_match_request(
     result.notes = [
         f"non-optimized overhead at {sizes[-1]} services: {overhead:.0%}",
         "paper Fig.9: non-optimized ~+50% over optimized; optimized ~constant, few ms",
-        f"interval index speedup over linear flat scan at {sizes[-1]} services: "
+        f"packed engine speedup over linear flat scan at {sizes[-1]} services: "
         f"{result.extras['index_speedup_at_max']:.1f}x",
     ]
     return result
@@ -728,26 +742,24 @@ def chaos_recovery(
     return result
 
 
-def shard_failover(
+def directory_failover(
     seed: int = 0,
     obs=None,
     node_count: int = 10,
     services: int = 10,
-    shard_count: int = 4,
     refresh_interval: float = 10.0,
     deadline: float = 120.0,
     config=None,
 ) -> ExperimentResult:
-    """Crash the primary hosting a sharded directory tier; prove zero-loss
-    recovery via election, soft-state refresh, and a follow-up handoff.
+    """Crash the elected directory; prove zero-loss recovery via
+    election, soft-state refresh, and a follow-up handoff.
 
     The scenario deploys S-Ariadne over one radio vicinity (every node in
-    range, so exactly one directory serves at a time) with each elected
-    node hosting a ``shard_count``-way sharded tier
-    (:class:`~repro.core.sharding.ShardedSemanticDirectory`).  After
+    range, so exactly one directory serves at a time), each elected node
+    hosting one :class:`~repro.core.directory.SemanticDirectory`.  After
     ``services`` soft-state advertisements settle, the canned
     ``directory_crash`` :class:`~repro.network.faults.FaultPlan` kills the
-    shard primary with ``wipe_state=True`` (all K shards lost at once).
+    primary with ``wipe_state=True`` (its whole directory lost at once).
     Recovery then has to come from the §4 machinery: re-election promotes
     a successor, whose vicinity advert triggers the clients' immediate
     re-registration.  Once the capability count is restored, the
@@ -760,7 +772,7 @@ def shard_failover(
         An :class:`ExperimentResult` with one row per phase
         (``[phase, directory, capabilities, results_ok]``) and extras:
         ``caps_pre`` / ``caps_post`` / ``caps_handoff`` (capability counts
-        across the tier), ``services_lost`` (post-recovery deficit — the
+        across all directories), ``services_lost`` (post-recovery deficit — the
         zero-loss assertion), ``results_equal`` / ``handoff_ok`` (0/1 row
         equality per phase), ``recovery_s`` (simulated seconds from crash
         to restored count) and ``recovered``.
@@ -788,7 +800,6 @@ def shard_failover(
             ),
             seed=seed,
             directory_capable_fraction=1.0,
-            directory_shards=shard_count,
         ),
     )
     deployment = Deployment(deployment_config, table=table)
@@ -814,7 +825,7 @@ def shard_failover(
         request_docs.append(_annotated_request_doc(workload, table, index))
     deployment.sim.run(until=deployment.sim.now + 5.0)
 
-    def tier_capabilities() -> int:
+    def cached_capabilities() -> int:
         return sum(
             agent.local_capability_count()
             for agent in deployment.directory_agents.values()
@@ -828,11 +839,11 @@ def shard_failover(
             rows.append(tuple(sorted(response[1])) if response else ())
         return rows
 
-    caps_pre = tier_capabilities()
+    caps_pre = cached_capabilities()
     rows_pre = query_rows()
 
     result = ExperimentResult(
-        name="shard_failover",
+        name="directory_failover",
         header=["phase", "directory", "capabilities", "results_ok"],
     )
     result.rows.append(["pre", primary, caps_pre, "-"])
@@ -848,10 +859,10 @@ def shard_failover(
     while deployment.sim.now < start + deadline:
         deployment.sim.run(until=deployment.sim.now + 5.0)
         directories = [d for d in deployment.directory_ids() if d != primary]
-        if directories and tier_capabilities() >= caps_pre:
+        if directories and cached_capabilities() >= caps_pre:
             recovery_s = deployment.sim.now - crash_at
             break
-    caps_post = tier_capabilities()
+    caps_post = cached_capabilities()
     successor = next(
         (d for d in deployment.directory_ids() if d != primary), None
     )
@@ -862,7 +873,7 @@ def shard_failover(
          "yes" if results_equal else "NO"]
     )
 
-    # §5 handoff: the recovered primary transfers its tier to a successor.
+    # §5 handoff: the recovered primary transfers its directory to a successor.
     handoff_ok = 0.0
     caps_handoff = 0
     if successor is not None:
@@ -873,7 +884,7 @@ def shard_failover(
         )
         deployment.transfer_directory(successor, handoff_target)
         deployment.sim.run(until=deployment.sim.now + 10.0)
-        caps_handoff = tier_capabilities()
+        caps_handoff = cached_capabilities()
         rows_handoff = query_rows()
         handoff_ok = 1.0 if (
             caps_handoff >= caps_pre and rows_handoff == rows_pre
@@ -891,10 +902,10 @@ def shard_failover(
     result.extras["recovery_s"] = recovery_s
     result.extras["recovered"] = 1.0 if recovery_s >= 0 else 0.0
     result.notes = [
-        f"seed={seed} shards={shard_count} services={services} "
+        f"seed={seed} services={services} "
         f"primary={primary} recovery={recovery_s:.0f}s",
-        "crash wipes all shards at once; recovery = election + soft-state "
-        "re-registration; handoff transfers the rebuilt tier",
+        "crash wipes the directory; recovery = election + soft-state "
+        "re-registration; handoff transfers the rebuilt directory",
     ]
     if obs is not None:
         for agent in deployment.directory_agents.values():
@@ -1103,7 +1114,7 @@ EXPERIMENTS: dict[str, Callable[[], ExperimentResult]] = {
     "e8": e8_gist_directory,
     "e9": e9_srinivasan_registry,
     "e10": e10_bloom_summaries,
-    "shard_failover": shard_failover,
+    "directory_failover": directory_failover,
 }
 
 

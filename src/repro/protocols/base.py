@@ -20,7 +20,7 @@ from collections.abc import Callable
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 
-from repro.core.codes import StaleCodesError
+from repro.core.codes import MalformedCodeError, StaleCodesError
 from repro.network.messages import (
     CodeRefreshResponse,
     DirectoryAdvert,
@@ -264,9 +264,8 @@ class DirectoryAgentBase(ProtocolAgent):
 
         Used by resilience experiments and ``repro.cli dir stats`` to
         assert zero-loss failover across the whole deployment.  The
-        default reads the backing directory (sharded tiers sum their
-        shards via the same attribute); protocols without one fall back
-        to the raw advertisement documents they hold.
+        default reads the backing directory; protocols without one fall
+        back to the raw advertisement documents they hold.
         """
         directory = getattr(self, "directory", None)
         count = getattr(directory, "capability_count", None)
@@ -304,6 +303,8 @@ class DirectoryAgentBase(ProtocolAgent):
             StaleCodesError: the request's codes belong to another
                 code-table snapshot (§3.2); the caller answers empty and
                 sends :meth:`refresh_codes_for`'s codes back.
+            MalformedCodeError: an embedded code does not parse; the
+                caller answers empty.
         """
         raise NotImplementedError
 
@@ -549,7 +550,7 @@ class DirectoryAgentBase(ProtocolAgent):
             if refresh is not None:
                 self.node.unicast(source, refresh)
             return
-        except ServiceSyntaxError:
+        except (ServiceSyntaxError, MalformedCodeError):
             self.publish_errors += 1
             return
         if self.obs.enabled:
@@ -566,7 +567,7 @@ class DirectoryAgentBase(ProtocolAgent):
             return
         try:
             service_uris = self.local_publish_batch(list(documents))
-        except (StaleCodesError, ServiceSyntaxError):
+        except (StaleCodesError, ServiceSyntaxError, MalformedCodeError):
             for document in documents:
                 self._handle_publish(source, document)
             return
@@ -585,7 +586,8 @@ class DirectoryAgentBase(ProtocolAgent):
         minted against another code-table snapshot gets an empty answer
         plus a :class:`CodeRefreshResponse` so the sender can re-annotate
         (the same machinery stale publications already use).  A request
-        that did not parse (``parsed is None``) gets an empty answer."""
+        that did not parse (``parsed is None``) or whose embedded codes do
+        not parse gets an empty answer and no refresh."""
         if parsed is None:
             return []
         try:
@@ -594,6 +596,8 @@ class DirectoryAgentBase(ProtocolAgent):
             refresh = self.refresh_codes_for(document)
             if refresh is not None:
                 self.node.unicast(source, refresh)
+            return []
+        except MalformedCodeError:
             return []
 
     def _trace_id(self, origin_directory: int, query_id: int) -> str:

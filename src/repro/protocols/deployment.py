@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 from repro.core.codes import CodeTable
 from repro.network.election import ElectionAgent, ElectionConfig
@@ -46,9 +46,9 @@ class DeploymentConfig:
         forward_window: remote-response collection window (s).
         election: §4 election timing parameters.
         seed: placement / jitter seed.
-        directory_shards: shard count for each hosted semantic directory
-            (> 1 deploys the sharded tier of :mod:`repro.core.sharding`
-            on every elected node; ignored by the syntactic protocol).
+        directory_shards: retired; accepted and ignored, so version-1
+            config files that still name it keep loading.  Every elected
+            node hosts one directory.
     """
 
     node_count: int = 30
@@ -61,9 +61,9 @@ class DeploymentConfig:
     forward_window: float = 1.0
     election: ElectionConfig = field(default_factory=ElectionConfig)
     seed: int = 0
-    directory_shards: int = 1
+    directory_shards: InitVar[int | None] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, directory_shards: int | None) -> None:
         if self.protocol not in ("sariadne", "ariadne"):
             raise ValueError(f"unknown protocol {self.protocol!r}")
         if self.node_count < 2:
@@ -99,7 +99,6 @@ class DeploymentConfig:
                 "mobility_penalty": self.election.mobility_penalty,
             },
             "seed": self.seed,
-            "directory_shards": self.directory_shards,
         }
 
     @classmethod
@@ -107,13 +106,15 @@ class DeploymentConfig:
         """Rebuild a config from :meth:`to_dict` output.
 
         Unspecified keys keep their defaults, so config files only name
-        what they change.
+        what they change.  The retired ``directory_shards`` key is
+        accepted and dropped.
 
         Raises:
             ValueError: on an unsupported ``config_version`` or unknown
                 keys (typos in a config file must not pass silently).
         """
         data = dict(data)
+        data.pop("directory_shards", None)
         version = data.pop("config_version", CONFIG_SCHEMA_VERSION)
         if version != CONFIG_SCHEMA_VERSION:
             raise ValueError(
@@ -135,7 +136,6 @@ class DeploymentConfig:
             "infrastructure_nodes",
             "forward_window",
             "seed",
-            "directory_shards",
         }
         unknown = set(data) - simple
         if unknown:
@@ -215,7 +215,6 @@ class Deployment:
             return SAriadneDirectoryAgent(
                 self.table,
                 forward_window=self.config.forward_window,
-                shard_count=self.config.directory_shards,
             )
         return AriadneDirectoryAgent(forward_window=self.config.forward_window)
 

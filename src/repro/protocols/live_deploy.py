@@ -8,8 +8,9 @@ process reached over TCP or unix-domain sockets.  Two roles:
 * :class:`DirectoryServer` (``repro.cli serve``) — a node that elects
   itself directory (the §4 machinery, genuinely: it times out on
   directory silence, initiates an election, wins as the only candidate,
-  and starts beaconing ``DirectoryAdvert``), optionally hosts a sharded
-  tier, and exports live OpenMetrics over a second listener.
+  and starts beaconing ``DirectoryAdvert``), hosts one
+  :class:`~repro.core.directory.SemanticDirectory`, and exports live
+  OpenMetrics over a second listener.
 * :class:`LoadGenerator` (``repro.cli loadgen``) — a pure client (no
   listener of its own) that discovers the directory from its adverts,
   publishes a slice of the §5 :class:`ServiceWorkload`, and drives
@@ -76,7 +77,7 @@ class DirectoryServer:
 
     Args:
         config: the shared deployment config (seed → workload/table,
-            election timings, shard count, forward window).
+            election timings, forward window).
         listen: protocol listener address (``unix:<path>`` /
             ``tcp:<host>:<port>``).
         metrics_listen: optional second listener serving the obs
@@ -137,7 +138,6 @@ class DirectoryServer:
         agent = SAriadneDirectoryAgent(
             self.table,
             forward_window=self.config.forward_window,
-            shard_count=self.config.directory_shards,
         )
         self.fabric.node.add_agent(agent)
         self.directory = agent

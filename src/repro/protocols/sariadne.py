@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from repro.core.codes import CodeTable
 from repro.core.directory import SemanticDirectory
-from repro.core.sharding import ShardedSemanticDirectory
 from repro.core.summaries import SummaryBank
 from repro.network.messages import CodeRefreshResponse, EncodedRequest
 from repro.protocols.base import ClientAgentBase, DirectoryAgentBase, ResultRow
@@ -35,7 +34,7 @@ class ParsedSemanticRequest:
     annotations; the resolved matcher codes are memoized per code-table
     snapshot so resolution, like parsing, happens once per node.  Codes
     equal to the table's own are dropped in the memo, once, instead of by
-    every matcher of every shard the request reaches.
+    every matcher the request reaches.
     """
 
     __slots__ = ("request", "annotations", "_extra", "_extra_key")
@@ -53,6 +52,7 @@ class ParsedSemanticRequest:
 
         Raises:
             StaleCodesError: annotations minted against another snapshot.
+            MalformedCodeError: an embedded code does not parse.
         """
         key = (id(table), table.version)
         if self._extra_key != key:
@@ -118,11 +118,6 @@ class SAriadneDirectoryAgent(DirectoryAgentBase):
     Args:
         table: the code table for the ontologies in force (shared by all
             participants of a deployment — §3.2's versioned codes).
-        shard_count: with a value > 1 the node hosts a sharded tier
-            (:class:`~repro.core.sharding.ShardedSemanticDirectory`)
-            instead of one :class:`SemanticDirectory` — same protocol
-            surface, content partitioned by ontology-set hash and queries
-            scatter/gathered with summary pruning.
     """
 
     def __init__(
@@ -131,20 +126,11 @@ class SAriadneDirectoryAgent(DirectoryAgentBase):
         forward_window: float = 1.0,
         summary_bits: int = 512,
         summary_hashes: int = 4,
-        shard_count: int = 1,
     ) -> None:
         super().__init__(forward_window, summary_bits, summary_hashes)
-        if shard_count > 1:
-            self.directory = ShardedSemanticDirectory(
-                table,
-                shard_count,
-                summary_bits=summary_bits,
-                summary_hashes=summary_hashes,
-            )
-        else:
-            self.directory = SemanticDirectory(
-                table, summary_bits=summary_bits, summary_hashes=summary_hashes
-            )
+        self.directory = SemanticDirectory(
+            table, summary_bits=summary_bits, summary_hashes=summary_hashes
+        )
         self._summary_bank: SummaryBank | None = None
         self._summary_bank_epoch: int | None = None
 
@@ -188,6 +174,7 @@ class SAriadneDirectoryAgent(DirectoryAgentBase):
         Raises:
             StaleCodesError: the request's embedded codes belong to another
                 code-table snapshot.
+            MalformedCodeError: an embedded code does not parse.
         """
         obs = self.obs
         if obs.enabled:

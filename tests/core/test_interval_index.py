@@ -279,44 +279,22 @@ class TestIntrospection:
         assert index.rebuilds == 2
 
     def test_candidate_index_aggregates_sub_indexes(self, small_workload, small_table):
-        from repro.core.matching import CodeMatcher
-
-        # use_batch_engine=False: the packed engine answers without ever
-        # stabbing the interval index, so pin the scalar+index path.
-        directory = FlatDirectory(
-            small_table, use_interval_index=True, use_batch_engine=False
-        )
-        profiles = small_workload.make_services(12)
-        for profile in profiles:
-            directory.publish(profile)
         matcher = CodeMatcher(table=small_table)
-        request = small_workload.matching_request(profiles[0])
-        directory.query(request)
-        index = directory._index
+        index = CandidateIndex()
+        capabilities = [
+            capability
+            for profile in small_workload.make_services(12)
+            for capability in profile.provided
+        ]
+        for item_id, capability in enumerate(capabilities):
+            index.insert(item_id, capability, matcher.lookup)
+        request = small_workload.matching_request(small_workload.make_service(0))
+        index.candidates(request.capabilities[0], matcher.lookup)  # builds both
         assert index.tombstones == 0
-        for profile in profiles[2:]:
-            directory.unpublish(profile.uri)
+        for item_id in range(2, len(capabilities)):
+            index.discard(item_id)
         assert index.tombstones > 0
         text = index.describe()
         assert "outputs:" in text and "properties:" in text
-        assert index.rebuilds >= 0
-
-    def test_flat_directory_exports_index_gauges(self, small_workload, small_table):
-        from repro.obs import Observability
-
-        directory = FlatDirectory(
-            small_table, use_interval_index=True, use_batch_engine=False
-        )
-        directory.obs = Observability()
-        for profile in small_workload.iter_services(10):
-            directory.publish(profile)
-        directory.query(small_workload.matching_request(small_workload.make_service(0)))
-        for index in range(1, 10):
-            directory.unpublish(f"urn:repro:service:{index}")
-        directory.export_metrics()
-        names = {series["name"]: series for series in directory.obs.metrics.snapshot()}
-        assert names["index.tombstones"]["value"] == directory._index.tombstones
-        assert names["index.rebuilds"]["value"] == directory._index.rebuilds
-        assert names["index.tombstones"]["value"] > 0
-        assert "index/engine" not in directory.describe()  # describe stays prose
-        assert "tombstones" in directory.describe()
+        assert "tombstones" in text
+        assert index.rebuilds >= 1

@@ -30,6 +30,11 @@ def scalar_pairs(entries, matcher, requested):
     }
 
 
+def _rows(matches) -> list[tuple[str, str, int]]:
+    """Ranked rows *in order*: directory equality is bit-identical."""
+    return [(m.service_uri, m.capability.uri, m.distance) for m in matches]
+
+
 class TestPackedCodeTable:
     def test_subsumer_distances_match_scalar(self, small_workload, small_table):
         concepts = sorted(
@@ -156,15 +161,17 @@ class TestEngineProperty:
 
 
 class TestDirectoryIntegration:
-    def test_batch_follows_interval_index_default(self, small_table):
-        assert FlatDirectory(small_table).use_batch_engine is True
-        assert FlatDirectory(small_table, use_interval_index=False).use_batch_engine is False
-        assert FlatDirectory(
-            small_table, use_interval_index=False, use_batch_engine=True
-        ).use_batch_engine is True
+    def test_batch_follows_interval_index_default(self, small_workload, small_table):
+        request = small_workload.matching_request(small_workload.make_service(0))
+        packed = FlatDirectory(small_table)
+        packed.publish(small_workload.make_service(0))
+        assert packed.query(request) and packed._engine is not None
+        linear = FlatDirectory(small_table, use_interval_index=False)
+        linear.publish(small_workload.make_service(0))
+        assert linear.query(request) and linear._engine is None
 
     def test_batch_query_equals_linear(self, small_workload, small_table):
-        batched = FlatDirectory(small_table, use_interval_index=False, use_batch_engine=True)
+        batched = FlatDirectory(small_table)
         linear = FlatDirectory(small_table, use_interval_index=False)
         profiles = [small_workload.make_service(i) for i in range(25)]
         batched.publish_batch(profiles)
@@ -181,9 +188,7 @@ class TestDirectoryIntegration:
             assert canon(batched.query(request)) == canon(linear.query(request))
 
     def test_engine_cache_tracks_epoch(self, small_workload, small_table):
-        directory = FlatDirectory(
-            small_table, use_interval_index=False, use_batch_engine=True
-        )
+        directory = FlatDirectory(small_table)
         profiles = [small_workload.make_service(i) for i in range(6)]
         directory.publish_batch(profiles)
         request = small_workload.matching_request(profiles[0])
@@ -197,9 +202,7 @@ class TestDirectoryIntegration:
     def test_batch_metrics_emitted(self, small_workload, small_table):
         from repro.obs import Observability
 
-        directory = FlatDirectory(
-            small_table, use_interval_index=False, use_batch_engine=True
-        )
+        directory = FlatDirectory(small_table)
         directory.obs = Observability()
         directory.publish_batch([small_workload.make_service(i) for i in range(4)])
         request = small_workload.matching_request(small_workload.make_service(0))
@@ -212,3 +215,53 @@ class TestDirectoryIntegration:
         assert any(name == "match.batch_size" for name, _labels in names)
         assert any(name == "match.candidates_pruned" for name, _labels in names)
         assert ("match.batch_queries", ()) in names  # one engine: no label
+
+
+class TestEngineCacheCoherence:
+    """Packed tables are epoch-keyed caches: a publish or an unpublish
+    storm must invalidate them — a query may never see stale rows."""
+
+    def test_unpublish_storm_never_serves_stale_rows(self, small_workload, small_table):
+        directory = FlatDirectory(small_table)
+        profiles = small_workload.make_services(30)
+        for profile in profiles:
+            directory.publish(profile)
+        request = small_workload.matching_request(profiles[0])
+        directory.query(request)  # warm the packed table
+        keep = profiles[0].uri
+        for profile in profiles:
+            if profile.uri != keep:
+                directory.unpublish(profile.uri)
+        survivors = {row[0] for row in _rows(directory.query(request))}
+        assert survivors <= {keep}, f"stale packed rows served: {survivors}"
+
+    def test_publish_after_warm_query_is_visible(self, small_workload, small_table):
+        directory = FlatDirectory(small_table)
+        late = small_workload.make_service(7)
+        request = small_workload.matching_request(late)
+        for profile in small_workload.iter_services(5):
+            directory.publish(profile)
+        directory.query(request)  # warm without `late` published
+        directory.publish(late)
+        assert late.uri in {row[0] for row in _rows(directory.query(request))}
+
+    @settings(max_examples=25, deadline=None)
+    @given(ops=st.lists(st.tuples(st.booleans(), st.integers(0, 11)), max_size=14))
+    def test_interleaved_churn_equals_scalar_rebuild(
+        self, small_workload, small_table, ops
+    ):
+        """Any publish/unpublish interleaving: the epoch-cached packed
+        engine answers exactly like a scalar directory fed the same ops,
+        with a query (cache warm) forced between every mutation."""
+        cached = FlatDirectory(small_table)
+        scalar = FlatDirectory(small_table, use_interval_index=False)
+        request = small_workload.matching_request(small_workload.make_service(0))
+        for is_publish, index in ops:
+            profile = small_workload.make_service(index)
+            if is_publish:
+                cached.publish(profile)
+                scalar.publish(profile)
+            else:
+                cached.unpublish(profile.uri)
+                scalar.unpublish(profile.uri)
+            assert _rows(cached.query(request)) == _rows(scalar.query(request))

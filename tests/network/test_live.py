@@ -217,27 +217,26 @@ def test_election_and_advert_over_live_fabric(tmp_path):
     run(scenario())
 
 
-def test_malformed_query_answered_and_connection_survives(
-    tmp_path, small_workload, small_table
-):
-    """A query whose document does not parse gets a zero-row answer, and
-    the peer connection keeps serving: a well-formed query sent after it
-    on the same socket is answered too."""
+def _bad_then_good(tmp_path, workload, table, garble):
+    """Publish an advertisement to a live S-Ariadne directory, then send
+    ``garble(advert)`` as a second advertisement and ``garble(request)``
+    as a query, then the well-formed request on the same connection: the
+    bad query gets a zero-row answer and the good one is answered too."""
     from repro.network.messages import QueryRequest, QueryResponse
     from repro.protocols.sariadne import SAriadneDirectoryAgent
     from repro.services.xml_codec import profile_to_xml, request_to_xml
 
-    profile = small_workload.make_service(0)
+    profile = workload.make_service(0)
     advert = profile_to_xml(
         profile,
-        annotations=small_table.annotate(profile.provided),
-        codes_version=small_table.version,
+        annotations=table.annotate(profile.provided),
+        codes_version=table.version,
     )
-    request = small_workload.matching_request(profile)
+    request = workload.matching_request(profile)
     good = request_to_xml(
         request,
-        annotations=small_table.annotate(request.capabilities),
-        codes_version=small_table.version,
+        annotations=table.annotate(request.capabilities),
+        codes_version=table.version,
     )
 
     async def answer(log, query_id):
@@ -253,14 +252,15 @@ def test_malformed_query_answered_and_connection_survives(
     async def scenario():
         address = f"unix:{os.path.join(str(tmp_path), 's.sock')}"
         server = LiveFabric(0, listen=address)
-        server.node.add_agent(SAriadneDirectoryAgent(small_table))
+        agent = server.node.add_agent(SAriadneDirectoryAgent(table))
         client = LiveFabric(1, peers={0: address})
         log = client.node.add_agent(Recorder())
         await server.start()
         await client.start()
         try:
             assert client.node.unicast(0, PublishService(advert))
-            assert client.node.unicast(0, QueryRequest(1, "<garbage"))
+            assert client.node.unicast(0, PublishService(garble(advert)))
+            assert client.node.unicast(0, QueryRequest(1, garble(good)))
             assert (await answer(log, 1)).results == ()
             assert client.node.unicast(0, QueryRequest(2, good))
             rows = (await answer(log, 2)).results
@@ -268,5 +268,28 @@ def test_malformed_query_answered_and_connection_survives(
         finally:
             await client.close()
             await server.close()
+        return agent
 
-    run(scenario())
+    return run(scenario())
+
+
+def test_malformed_query_answered_and_connection_survives(
+    tmp_path, small_workload, small_table
+):
+    """A query whose document does not parse gets a zero-row answer, and
+    the peer connection keeps serving: a well-formed query sent after it
+    on the same socket is answered too."""
+    agent = _bad_then_good(tmp_path, small_workload, small_table, lambda _doc: "<garbage")
+    assert agent.publish_errors == 1
+
+
+def test_malformed_code_answered_and_connection_survives(
+    tmp_path, small_workload, small_table
+):
+    """Well-formed documents whose embedded codes do not parse: the
+    advertisement is counted as a publish error, the query gets a
+    zero-row answer, and the connection keeps serving."""
+    from tests.protocols.test_fastpath import garble_code
+
+    agent = _bad_then_good(tmp_path, small_workload, small_table, garble_code)
+    assert agent.publish_errors == 1

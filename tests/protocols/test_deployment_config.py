@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -23,7 +24,6 @@ def test_round_trip_identity():
         forward_window=0.5,
         election=ElectionConfig(advert_interval=1.5, directory_timeout=4.0),
         seed=99,
-        directory_shards=4,
     )
     assert DeploymentConfig.from_dict(config.to_dict()) == config
 
@@ -60,13 +60,11 @@ def test_load_toml_with_deployment_table(tmp_path):
         "[deployment]\n"
         "node_count = 4\n"
         "protocol = \"sariadne\"\n"
-        "directory_shards = 2\n"
         "[deployment.election]\n"
         "advert_interval = 0.5\n"
     )
     config = DeploymentConfig.load(path)
     assert config.node_count == 4
-    assert config.directory_shards == 2
     assert config.election.advert_interval == 0.5
     # Unnamed election fields keep their defaults too.
     assert config.election.directory_timeout == ElectionConfig().directory_timeout
@@ -94,7 +92,7 @@ def test_load_rejects_other_extensions(tmp_path):
 
 
 def test_experiments_share_the_config_surface(tmp_path):
-    """chaos_recovery/shard_failover read the same files serve/loadgen do."""
+    """chaos_recovery/directory_failover read the same files serve/loadgen do."""
     from repro.experiments import _resolve_deployment_config
 
     default = DeploymentConfig(node_count=3)
@@ -113,5 +111,20 @@ def test_committed_smoke_config_loads():
     repo = pathlib.Path(__file__).resolve().parents[2]
     config = DeploymentConfig.load(repo / "configs" / "deployment_smoke.toml")
     assert config.node_count == 2
-    assert config.directory_shards == 2
     assert config.election.advert_interval < 1.0  # fast CI timings
+
+
+def test_retired_directory_shards_key_is_ignored(tmp_path):
+    """Version-1 files may still name ``directory_shards``: it loads, has
+    no effect, and is no longer written."""
+    plain = DeploymentConfig(node_count=4)
+    assert DeploymentConfig(node_count=4, directory_shards=2) == plain
+    assert replace(plain, directory_shards=8) == plain
+    assert "directory_shards" not in plain.to_dict()
+    assert DeploymentConfig.from_dict({"node_count": 4, "directory_shards": 2}) == plain
+    toml_path = tmp_path / "c.toml"
+    toml_path.write_text("[deployment]\nnode_count = 4\ndirectory_shards = 2\n")
+    assert DeploymentConfig.load(toml_path) == plain
+    json_path = tmp_path / "c.json"
+    json_path.write_text(json.dumps({**plain.to_dict(), "directory_shards": 2}))
+    assert DeploymentConfig.load(json_path) == plain

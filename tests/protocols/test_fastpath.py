@@ -9,10 +9,14 @@ recovery, forwarded answers against an in-process directory, and the
 empty, unforwarded answer to a request that does not parse.
 """
 
+import re
+
 import pytest
 
 from repro.core.directory import SemanticDirectory
 from repro.network.messages import (
+    CodeRefreshResponse,
+    DirectoryHandoff,
     EncodedRequest,
     PublishService,
     QueryRequest,
@@ -238,6 +242,57 @@ class TestMalformedRequests:
         assert responses.got == [RemoteResponse(42, ())]
         assert all(agent.queries_forwarded == 0 for agent in directories.values())
         _still_answers(sim, directories, client, good, uri)
+
+
+def garble_code(document: str) -> str:
+    """The document with every embedded concept code made unparseable
+    (the XML itself stays well-formed)."""
+    garbled, count = re.subn(r'code="[^"]*"', 'code="zz;4;0.1,0.2"', document)
+    assert count
+    return garbled
+
+
+class TestMalformedCodes:
+    """A well-formed document whose embedded code does not parse: the
+    query is answered empty with no code refresh, the advertisement is
+    counted in ``publish_errors``, and the directory keeps serving."""
+
+    def test_query_answered_empty_without_refresh(self, small_workload, small_table):
+        sim, network, directories, client = semantic_mesh(small_table, directory_count=2)
+        uri, advert = profile_doc(small_workload, small_table, 0)
+        network.nodes[2].unicast(1, PublishService(advert))
+        sim.run(until=sim.now + 3.0)
+        refreshes = network.nodes[2].add_agent(Recorder(CodeRefreshResponse))
+        bad = garble_code(request_doc(small_workload, small_table, 0))
+        query_id = client.query(bad)
+        sim.run(until=sim.now + 5.0)
+        assert client.responses[query_id][1] == ()
+        assert refreshes.got == [] and not client.code_updates
+        good = request_doc(small_workload, small_table, 0)
+        query_id = client.query(good)
+        sim.run(until=sim.now + 5.0)
+        assert any(row[0] == uri for row in client.responses[query_id][1])
+
+    def test_publish_counted_as_error(self, small_workload, small_table):
+        sim, network, directories, client = semantic_mesh(small_table, directory_count=1)
+        _uri, advert = profile_doc(small_workload, small_table, 0)
+        network.nodes[1].unicast(0, PublishService(garble_code(advert)))
+        sim.run(until=sim.now + 3.0)
+        agent = directories[0]
+        assert agent.publish_errors == 1
+        assert agent.stale_publishes == 0
+        assert agent.local_capability_count() == 0
+
+    def test_handoff_batch_falls_back_per_document(self, small_workload, small_table):
+        sim, network, directories, client = semantic_mesh(small_table, directory_count=1)
+        uri, advert = profile_doc(small_workload, small_table, 0)
+        _bad_uri, other = profile_doc(small_workload, small_table, 1)
+        batch = (advert, garble_code(other))
+        network.nodes[1].unicast(0, DirectoryHandoff(from_directory=1, documents=batch))
+        sim.run(until=sim.now + 3.0)
+        agent = directories[0]
+        assert agent.publish_errors == 1
+        assert agent.directory.profile(uri) is not None
 
 
 class TestStaleCodeRecovery:

@@ -15,6 +15,7 @@ import os
 
 import pytest
 
+from repro.core.directory import SemanticDirectory
 from repro.network.election import ElectionConfig
 from repro.protocols.deployment import DeploymentConfig
 from repro.protocols.live_deploy import (
@@ -59,7 +60,7 @@ def test_build_catalog_is_seed_deterministic():
 
 def test_serve_loadgen_closed_loop(tmp_path):
     """Election, publish, queries, scrape, and the BENCH report."""
-    config = fast_config(directory_shards=2)
+    config = fast_config(directory_shards=2)  # retired key: accepted, ignored
     address = f"unix:{os.path.join(str(tmp_path), 'serve.sock')}"
     metrics = f"unix:{os.path.join(str(tmp_path), 'metrics.sock')}"
 
@@ -69,7 +70,7 @@ def test_serve_loadgen_closed_loop(tmp_path):
         await server.wait_elected(timeout=10.0)
         assert server.election.is_directory
         assert server.directory is not None
-        assert server.directory.directory.shard_count == 2
+        assert type(server.directory.directory) is SemanticDirectory
 
         loadgen = LoadGenerator(config, connect=address)
         await loadgen.start()

@@ -379,17 +379,14 @@ class TestDirStats:
         assert "6 service(s)" in out
         assert "SemanticDirectory" in out
 
-    def test_sharded_stats_report_skew(self, tmp_path, capsys):
+    def test_describe_dumps_capability_graphs(self, tmp_path, capsys):
         self._workload(tmp_path)
         capsys.readouterr()
-        assert main(["dir", "stats", str(tmp_path), "--shards", "4", "--describe"]) == 0
+        assert main(["dir", "stats", str(tmp_path), "--describe"]) == 0
         out = capsys.readouterr().out
-        assert "skew (max/mean)" in out
-        assert "shard" in out and "share" in out
-        # one table row per shard, plus the per-shard description dump
-        assert "ShardRouter" in out
-        # per-shard capability counts sum to the published total
         assert "6 service(s)" in out
+        assert "SemanticDirectory" in out
+        assert "graph" in out
 
     def test_missing_workload_dir_fails(self, tmp_path, capsys):
         empty = tmp_path / "empty"

@@ -45,7 +45,7 @@ class TestRegistry:
             "e8",
             "e9",
             "e10",
-            "shard_failover",
+            "directory_failover",
         }
 
     def test_unknown_name(self):

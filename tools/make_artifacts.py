@@ -58,7 +58,6 @@ BENCH_REPORTS: dict[str, tuple[str, ...]] = {
     "bench_chaos_recovery": ("chaos_recovery",),
     "bench_churn_availability": ("churn_availability",),
     "bench_composition": ("composition_schemes",),
-    "bench_directory_sharding": ("directory_sharding",),
     "bench_encoding_scalability": ("e7_encoding_scalability",),
     "bench_fig10_ariadne_vs_sariadne": ("fig10_ariadne_vs_sariadne",),
     "bench_fig2_reasoner_cost": ("fig2_reasoner_cost",),
