@@ -586,13 +586,15 @@ class FlatDirectory:
 
     def query(self, request: ServiceRequest) -> list[DirectoryMatch]:
         """Match cached capabilities against every requested one."""
-        matcher = CodeMatcher(table=self.table, stats=self.stats)
-        return self._query(request, matcher)
+        return self.query_batch((request,))[0]
 
     def query_batch(self, requests: Iterable[ServiceRequest]) -> list[list[DirectoryMatch]]:
-        """Answer many requests with one matcher; per-request results."""
+        """Answer many requests (one matcher on the linear scan);
+        per-request results."""
+        if self.use_interval_index:
+            return [self._query_batched(request) for request in requests]
         matcher = CodeMatcher(table=self.table, stats=self.stats)
-        return [self._query(request, matcher) for request in requests]
+        return [self._query_linear(request, matcher) for request in requests]
 
     def _batch_engine(self) -> BatchMatchEngine:
         """The packed engine for the current content; rebuilt lazily when
@@ -605,9 +607,8 @@ class FlatDirectory:
             self._engine_key = key
         return self._engine
 
-    def _query(self, request: ServiceRequest, matcher: CodeMatcher) -> list[DirectoryMatch]:
-        if self.use_interval_index:
-            return self._query_batched(request)
+    def _query_linear(self, request: ServiceRequest, matcher: CodeMatcher) -> list[DirectoryMatch]:
+        """Answer by the Fig. 9 linear scan with the scalar matcher."""
         results: list[DirectoryMatch] = []
         with self.timer.phase("match"):
             for requested in request.capabilities:

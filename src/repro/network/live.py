@@ -21,15 +21,34 @@ topologies remains the simulator's job.
 Connection handling:
 
 * one full-duplex socket per peer pair, reused for all traffic in both
-  directions.  The first frame on every socket is a
+  directions, driven by one :class:`asyncio.Protocol` per connection.
+  The first frame on every socket is a
   :class:`~repro.network.messages.Hello` naming the dialing node, so the
   accepting side can route replies back over the same socket — a pure
   client (``repro.cli loadgen``) never listens.
-* outbound sends queue on a per-peer outbox; a link task connects with
-  exponential backoff and drains it.  Connect refusals and socket
-  timeouts are **never** raised to agents: after ``connect_retries``
-  consecutive failures the link is marked dead and ``unicast`` returns
-  ``False``, which the client machinery in
+* receiving: ``data_received`` splits the byte stream into
+  length-prefixed frames and hands each decoded envelope to the local
+  agents synchronously — no reader task sits between the socket and the
+  agents.  A malformed frame (undecodable body, length prefix over
+  :data:`~repro.network.wire.MAX_FRAME`, a first frame that is not
+  ``Hello``, or no ``Hello`` within ``connect_timeout``) closes that one
+  connection; the listener and every other connection keep serving.
+* sending: ``unicast``/``flood`` append the envelope to the peer link's
+  pending list and arm at most one ``loop.call_soon`` flush per link,
+  which encodes everything sent during that loop turn and hands it to
+  the transport in a single ``write``.  An envelope the codec rejects
+  is dropped and counted; the rest of the batch still goes out.  Frames
+  encoded while a dialed link is still connecting wait in its backlog
+  and follow the ``Hello`` in send order.
+* bounded: a link refuses sends (``unicast() -> False``) once its unsent
+  bytes — backlog plus the transport's write buffer — reach
+  :data:`MAX_LINK_BUFFER`, and a flush drops frames that would cross it,
+  so a peer that stops reading cannot grow the sender's memory.
+* a dial task per configured peer connects with exponential backoff and
+  then waits for the connection to close before re-dialing.  Connect
+  refusals and socket timeouts are **never** raised to agents: after
+  ``connect_retries`` consecutive failures the link is marked dead and
+  ``unicast`` returns ``False``, which the client machinery in
   :mod:`repro.protocols.base` already maps to
   ``QueryOutcome.SEND_FAILED`` (immediately) or ``EXHAUSTED`` (when the
   failure happens after an optimistic accept).  That keeps transport
@@ -39,14 +58,25 @@ Connection handling:
 from __future__ import annotations
 
 import asyncio
+import functools
 import itertools
 import random
+import struct
 from collections.abc import Callable
 
-from repro.network.messages import Envelope, Hello, payload_size
+from repro.network import wire
+from repro.network.messages import Envelope, Hello
 from repro.network.node import ProtocolAgent, TrafficStats
-from repro.network.wire import WireError, encode_frame, read_frame
+from repro.network.wire import MAX_FRAME, WireError, encode_frame
 from repro.obs import NULL_OBS
+
+#: Cap on one link's unsent bytes: its pre-connect backlog plus the
+#: transport's write buffer.  Twice :data:`~repro.network.wire.MAX_FRAME`,
+#: so one maximal frame always fits, and far above the largest burst a
+#: client sends in one go (a 1024-advertisement publication, ~1 MiB).
+MAX_LINK_BUFFER = 2 * MAX_FRAME
+
+_LENGTH = struct.Struct(">I")
 
 
 class LiveRuntime:
@@ -199,19 +229,148 @@ def parse_address(address: str) -> tuple[str, ...]:
 
 
 class _PeerLink:
-    """One peer's send side: outbox, current socket, liveness."""
+    """One peer's send side: pending envelopes, backlog, socket, liveness."""
 
     def __init__(self, peer_id: int, address: str | None) -> None:
         self.peer_id = peer_id
         #: Dial target; ``None`` for inbound-only peers (they dialed us).
         self.address = address
-        self.outbox: asyncio.Queue[Envelope] = asyncio.Queue()
-        self.writer: asyncio.StreamWriter | None = None
+        #: Envelopes sent during the current loop turn, encoded by the
+        #: one flush armed when the first of them arrived.
+        self.pending: list[Envelope] = []
+        #: Frames flushed while a dialed link had no socket; written
+        #: right after the next connection's ``Hello``.
+        self.backlog: list[bytes] = []
+        self.backlog_bytes = 0
+        self.transport: asyncio.Transport | None = None
+        #: Size of the last frame a flush dropped for want of room (0 once
+        #: a flush fits everything): sends are refused until that much
+        #: room is free again.
+        self.blocked = 0
         #: Set after ``connect_retries`` consecutive dial failures; a
         #: dead link refuses sends (→ ``SEND_FAILED``) instead of
         #: queueing into the void.
         self.dead = False
         self.task: asyncio.Task | None = None
+
+    def unsent_bytes(self) -> int:
+        """Bytes encoded for this peer that the kernel has not taken."""
+        buffered = self.transport.get_write_buffer_size() if self.transport is not None else 0
+        return self.backlog_bytes + buffered
+
+    def full(self) -> bool:
+        """True when a new frame would not fit under :data:`MAX_LINK_BUFFER`."""
+        return self.unsent_bytes() + self.blocked >= MAX_LINK_BUFFER
+
+
+class _Connection(asyncio.Protocol):
+    """One socket's receive side, dialed or accepted.
+
+    Splits the byte stream into length-prefixed frames and hands each
+    decoded envelope to the fabric as it completes.  A dialed connection
+    knows its link from the start; an accepted one learns it from the
+    ``Hello`` that must be its first frame.
+    """
+
+    def __init__(self, fabric: LiveFabric, link: _PeerLink | None) -> None:
+        self.fabric = fabric
+        self.link = link
+        self.transport: asyncio.Transport | None = None
+        #: Resolved by ``connection_lost``; the dial task awaits it.
+        self.closed = fabric._loop.create_future()
+        #: Bytes of an incomplete frame, and how many it needs in total.
+        self._partial = bytearray()
+        self._need = 0
+        self._hello_timer: asyncio.TimerHandle | None = None
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.transport = transport
+        self.fabric._connections.add(self)
+        if self.link is None:
+            self._hello_timer = self.fabric._loop.call_later(
+                self.fabric.connect_timeout, self.reject, "hello_timeout"
+            )
+        else:
+            self.fabric._link_up(self.link, transport)
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        if self._hello_timer is not None:
+            self._hello_timer.cancel()
+        self.fabric._connections.discard(self)
+        link = self.link
+        if link is not None and link.transport is self.transport:
+            link.transport = None
+        if not self.closed.done():
+            self.closed.set_result(None)
+
+    def reject(self, cause: str) -> None:
+        """Close this connection over a protocol violation."""
+        if self.transport.is_closing():
+            return
+        self.transport.close()
+        fabric = self.fabric
+        if fabric.obs.enabled:
+            fabric.obs.lifecycle(
+                "link.rejected",
+                sim_time=fabric.runtime.now,
+                node=fabric.node.node_id,
+                cause=cause,
+                peer=self.link.peer_id if self.link is not None else None,
+            )
+
+    def data_received(self, data: bytes) -> None:
+        if self._partial:
+            self._partial += data
+            if len(self._partial) < self._need:
+                return
+            data = bytes(self._partial)
+            self._partial = bytearray()
+        end = len(data)
+        offset = 0
+        while end - offset >= _LENGTH.size:
+            (length,) = _LENGTH.unpack_from(data, offset)
+            if length > MAX_FRAME:
+                self.reject("oversized_frame")
+                return
+            stop = offset + _LENGTH.size + length
+            if stop > end:
+                break
+            try:
+                envelope = wire.decode_frame(data[offset + _LENGTH.size : stop])
+            except WireError:
+                self.reject("malformed_frame")
+                return
+            offset = stop
+            self._received(envelope)
+            if self.transport.is_closing():
+                return
+        if offset < end:
+            self._partial = bytearray(memoryview(data)[offset:])
+            if end - offset >= _LENGTH.size:
+                self._need = _LENGTH.size + _LENGTH.unpack_from(data, offset)[0]
+            else:
+                self._need = _LENGTH.size
+
+    def _received(self, envelope: Envelope) -> None:
+        if self.link is None:
+            if not isinstance(envelope.payload, Hello):
+                self.reject("no_hello")
+                return
+            self._hello_timer.cancel()
+            self.link = self.fabric._greeted(envelope.payload.node_id, self.transport)
+            return
+        self.fabric._deliver_local(
+            Envelope(
+                kind=envelope.kind,
+                payload=envelope.payload,
+                source=envelope.source,
+                dest=envelope.dest,
+                msg_id=envelope.msg_id,
+                ttl=max(0, envelope.ttl - 1),
+                hops=envelope.hops + 1,
+                trace=envelope.trace,
+            )
+        )
 
 
 class LiveFabric:
@@ -242,6 +401,7 @@ class LiveFabric:
         battery: float = 1.0,
     ) -> None:
         self.runtime = LiveRuntime()
+        self._loop = self.runtime._loop
         self.obs = NULL_OBS
         self.trace = None
         self.faults = None
@@ -260,10 +420,12 @@ class LiveFabric:
             self._links[peer_id] = _PeerLink(peer_id, address)
         self._msg_ids = itertools.count(1)
         self._server: asyncio.AbstractServer | None = None
-        self._reader_tasks: set[asyncio.Task] = set()
+        #: Every open connection, dialed or accepted.
+        self._connections: set[_Connection] = set()
         #: Dial policy: ``connect_retries`` attempts with exponential
         #: backoff starting at ``connect_backoff`` seconds, each attempt
-        #: bounded by ``connect_timeout``.
+        #: bounded by ``connect_timeout``.  An accepted connection must
+        #: say ``Hello`` within ``connect_timeout`` too.
         self.connect_retries = 5
         self.connect_backoff = 0.05
         self.connect_timeout = 2.0
@@ -273,19 +435,18 @@ class LiveFabric:
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> None:
-        """Bind the listener (if any), start link tasks and agents."""
+        """Bind the listener (if any), start dial tasks and agents."""
         if self._started:
             return
         self._started = True
         if self.listen_address is not None:
             parts = parse_address(self.listen_address)
+            accept = functools.partial(_Connection, self, None)
             if parts[0] == "unix":
-                self._server = await asyncio.start_unix_server(
-                    self._accept, path=parts[1]
-                )
+                self._server = await self._loop.create_unix_server(accept, path=parts[1])
             else:
-                self._server = await asyncio.start_server(
-                    self._accept, host=parts[1], port=int(parts[2])
+                self._server = await self._loop.create_server(
+                    accept, host=parts[1], port=int(parts[2])
                 )
         for link in self._links.values():
             if link.address is not None:
@@ -294,13 +455,15 @@ class LiveFabric:
             agent.on_start()
 
     async def close(self) -> None:
-        """Stop the listener, link tasks and reader loops."""
+        """Stop the listener and dial tasks, then close every connection.
+
+        Bytes already handed to a transport get ``connect_timeout``
+        seconds to reach the peer; connections still open after that are
+        aborted, so no socket outlives the call.
+        """
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
-            self._server = None
         tasks = [link.task for link in self._links.values() if link.task is not None]
-        tasks.extend(self._reader_tasks)
         for task in tasks:
             task.cancel()
         for task in tasks:
@@ -309,9 +472,21 @@ class LiveFabric:
             except (asyncio.CancelledError, Exception):
                 pass
         for link in self._links.values():
-            if link.writer is not None:
-                link.writer.close()
-                link.writer = None
+            if link.pending:
+                self._flush(link)
+        connections = list(self._connections)
+        for connection in connections:
+            connection.transport.close()
+        if connections:
+            closing = [connection.closed for connection in connections]
+            _done, stuck = await asyncio.wait(closing, timeout=self.connect_timeout)
+            for connection in connections:
+                if connection.closed in stuck:
+                    connection.transport.abort()
+            await asyncio.gather(*closing)
+        if self._server is not None:
+            await self._server.wait_closed()
+            self._server = None
 
     # ------------------------------------------------------------------
     # Structural Network surface (what agents touch)
@@ -354,30 +529,31 @@ class LiveFabric:
     # Sending
     # ------------------------------------------------------------------
     def unicast(self, origin: LiveNode, dest: int, payload: object) -> bool:
-        """Queue ``payload`` for peer ``dest``.
+        """Queue ``payload`` for peer ``dest``; it leaves with the link's
+        next flush, at the end of the current loop turn.
 
         Returns False — the agents' existing unreachable signal — when
         the peer is unknown, its link has been declared dead after
-        exhausting connect retries, or it is inbound-only and its socket
-        is gone.  Never raises transport errors.
+        exhausting connect retries, it is inbound-only and its socket is
+        gone, or the link already holds :data:`MAX_LINK_BUFFER` unsent
+        bytes.  Never raises transport errors.
         """
         if dest == self.node.node_id:
             envelope = self._wrap(payload, dest=dest, hops=0)
             self.runtime.schedule(0.0, lambda: self._deliver_local(envelope))
             return True
         link = self._links.get(dest)
-        if link is None or link.dead or (link.address is None and link.writer is None):
+        if link is None or link.dead or (link.address is None and link.transport is None):
             self.stats.drops_unreachable += 1
             return False
+        if link.full():
+            self._dropped("overflow")
+            return False
         self.record(origin.node_id, "unicast", f"{type(payload).__name__} -> {dest}")
-        envelope = self._wrap(payload, dest=dest, hops=1)
         self.stats.unicasts += 1
-        size = payload_size(payload)
-        self.stats.bytes_sent += size
         if self.obs.enabled:
             self.obs.counter("net.messages", node=origin.node_id).inc()
-            self.obs.counter("net.bytes", node=origin.node_id).inc(size)
-        link.outbox.put_nowait(envelope)
+        self._enqueue(link, self._wrap(payload, dest=dest, hops=1))
         return True
 
     def flood(self, origin: LiveNode, payload: object, ttl: int) -> None:
@@ -385,15 +561,15 @@ class LiveFabric:
         self.record(origin.node_id, "flood", f"{type(payload).__name__} ttl={ttl}")
         envelope = self._wrap(payload, dest=None, hops=0, ttl=ttl)
         self.stats.broadcasts += 1
-        size = payload_size(payload)
-        for peer_id, link in sorted(self._links.items()):
-            if link.dead or (link.address is None and link.writer is None):
+        for _peer_id, link in sorted(self._links.items()):
+            if link.dead or (link.address is None and link.transport is None):
                 continue
-            self.stats.bytes_sent += size
+            if link.full():
+                self._dropped("overflow")
+                continue
             if self.obs.enabled:
                 self.obs.counter("net.messages", node=origin.node_id).inc()
-                self.obs.counter("net.bytes", node=origin.node_id).inc(size)
-            link.outbox.put_nowait(envelope)
+            self._enqueue(link, envelope)
 
     def _wrap(self, payload: object, dest: int | None, hops: int, ttl: int = 0) -> Envelope:
         # Stamp the ambient trace context (the span this send happens
@@ -410,6 +586,61 @@ class LiveFabric:
             trace=trace,
         )
 
+    def _enqueue(self, link: _PeerLink, envelope: Envelope) -> None:
+        link.pending.append(envelope)
+        if len(link.pending) == 1:
+            self._loop.call_soon(self._flush, link)
+
+    def _flush(self, link: _PeerLink) -> None:
+        """Encode every envelope sent to ``link`` this loop turn and hand
+        the frames to its socket in one write (or to its backlog while a
+        dialed link connects)."""
+        envelopes, link.pending = link.pending, []
+        room = MAX_LINK_BUFFER - link.unsent_bytes()
+        frames: list[bytes] = []
+        size = 0
+        link.blocked = 0
+        for envelope in envelopes:
+            try:
+                frame = encode_frame(envelope)
+            except WireError:
+                self._dropped("unencodable")
+                continue
+            if size + len(frame) > room:
+                # Sends of this loop turn were accepted before their size
+                # was known; the ones that do not fit are lost here.
+                link.blocked = len(frame)
+                self._dropped("overflow")
+                continue
+            frames.append(frame)
+            size += len(frame)
+        if not frames:
+            return
+        transport = link.transport
+        if transport is not None and not transport.is_closing():
+            transport.write(b"".join(frames))
+        elif link.address is not None and not link.dead:
+            link.backlog.extend(frames)
+            link.backlog_bytes += size
+        else:
+            # The socket vanished after the send was accepted: the frames
+            # are gone, like a radio loss — the sender cannot tell.
+            self.stats.drops_lost += len(frames)
+            return
+        self.stats.bytes_sent += size
+        if self.obs.enabled:
+            self.obs.counter("net.bytes", node=self.node.node_id).inc(size)
+
+    def _dropped(self, cause: str) -> None:
+        """Count one send refused or frame dropped (``overflow`` /
+        ``unencodable``)."""
+        if cause == "overflow":
+            self.stats.drops_overflow += 1
+        else:
+            self.stats.drops_unencodable += 1
+        if self.obs.enabled:
+            self.obs.counter("net.dropped", node=self.node.node_id, cause=cause).inc()
+
     # ------------------------------------------------------------------
     # Receiving
     # ------------------------------------------------------------------
@@ -417,17 +648,8 @@ class LiveFabric:
         self.stats.deliveries += 1
         self.node.deliver(envelope)
 
-    async def _accept(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
-        """Handle one inbound connection: Hello handshake, then frames."""
-        try:
-            hello = await asyncio.wait_for(read_frame(reader), self.connect_timeout)
-        except (WireError, OSError, asyncio.TimeoutError):
-            writer.close()
-            return
-        if hello is None or not isinstance(hello.payload, Hello):
-            writer.close()
-            return
-        peer_id = hello.payload.node_id
+    def _greeted(self, peer_id: int, transport: asyncio.Transport) -> _PeerLink:
+        """Bind an accepted connection to the peer its ``Hello`` names."""
         link = self._links.get(peer_id)
         if link is None:
             link = _PeerLink(peer_id, address=None)
@@ -435,48 +657,35 @@ class LiveFabric:
             self.nodes.setdefault(peer_id, RemotePeer(peer_id))
         if link.address is None:
             # Inbound-only peer: replies go back over this socket.
-            link.writer = writer
+            link.transport = transport
             link.dead = False
-            if link.task is None or link.task.done():
-                link.task = asyncio.ensure_future(self._drain_outbox(link))
-        await self._read_loop(reader, peer_id)
-        if link.writer is writer:
-            link.writer = None
-
-    async def _read_loop(self, reader: asyncio.StreamReader, peer_id: int) -> None:
-        """Deliver every inbound frame to the local node's agents."""
-        while True:
-            try:
-                envelope = await read_frame(reader)
-            except (WireError, OSError):
-                return
-            if envelope is None:
-                return
-            delivered = Envelope(
-                kind=envelope.kind,
-                payload=envelope.payload,
-                source=envelope.source,
-                dest=envelope.dest,
-                msg_id=envelope.msg_id,
-                ttl=max(0, envelope.ttl - 1),
-                hops=envelope.hops + 1,
-                trace=envelope.trace,
-            )
-            self._deliver_local(delivered)
+        return link
 
     # ------------------------------------------------------------------
     # Link maintenance
     # ------------------------------------------------------------------
-    async def _dial(self, address: str):
-        parts = parse_address(address)
+    def _link_up(self, link: _PeerLink, transport: asyncio.Transport) -> None:
+        """A dialed connection is open: say ``Hello``, then the backlog."""
+        link.transport = transport
+        link.dead = False
+        hello = encode_frame(self._wrap(Hello(self.node.node_id), dest=link.peer_id, hops=0))
+        transport.write(b"".join([hello, *link.backlog]))
+        link.backlog = []
+        link.backlog_bytes = 0
+
+    async def _dial(self, link: _PeerLink) -> _Connection:
+        parts = parse_address(link.address)
+        connection = functools.partial(_Connection, self, link)
         if parts[0] == "unix":
-            connect = asyncio.open_unix_connection(path=parts[1])
+            connect = self._loop.create_unix_connection(connection, path=parts[1])
         else:
-            connect = asyncio.open_connection(host=parts[1], port=int(parts[2]))
-        return await asyncio.wait_for(connect, self.connect_timeout)
+            connect = self._loop.create_connection(connection, host=parts[1], port=int(parts[2]))
+        _transport, protocol = await asyncio.wait_for(connect, self.connect_timeout)
+        return protocol
 
     async def _run_link(self, link: _PeerLink) -> None:
-        """Own an outbound link: dial with backoff, then drain the outbox.
+        """Own an outbound link: dial with backoff, then wait for the
+        connection to close and dial again.
 
         A broken connection is re-dialed with a fresh retry budget; only
         ``connect_retries`` *consecutive* failures kill the link.  Death
@@ -484,17 +693,20 @@ class LiveFabric:
         an exception.
         """
         while True:
-            reader = writer = None
+            connection = None
             backoff = self.connect_backoff
-            for attempt in range(self.connect_retries):
+            for _attempt in range(self.connect_retries):
                 try:
-                    reader, writer = await self._dial(link.address)
+                    connection = await self._dial(link)
                     break
                 except (OSError, asyncio.TimeoutError):
                     await asyncio.sleep(backoff)
                     backoff *= 2
-            if writer is None:
+            if connection is None:
                 link.dead = True
+                self.stats.drops_lost += len(link.backlog)
+                link.backlog = []
+                link.backlog_bytes = 0
                 if self.obs.enabled:
                     self.obs.lifecycle(
                         "link.dead",
@@ -504,44 +716,10 @@ class LiveFabric:
                         cause="connect_failed",
                     )
                 return
-            link.writer = writer
-            link.dead = False
-            try:
-                writer.write(encode_frame(self._wrap(Hello(self.node.node_id), dest=link.peer_id, hops=0)))
-                await writer.drain()
-                read_task = asyncio.ensure_future(self._read_loop(reader, link.peer_id))
-                self._reader_tasks.add(read_task)
-                read_task.add_done_callback(self._reader_tasks.discard)
-                await self._drain_outbox(link)
-            except (OSError, asyncio.TimeoutError):
-                pass
-            finally:
-                if link.writer is writer:
-                    link.writer = None
-                writer.close()
+            # Shielded: cancelling this task (close()) must not cancel the
+            # future close() itself waits on.
+            await asyncio.shield(connection.closed)
             # Loop to re-dial with a fresh backoff schedule.
-
-    async def _drain_outbox(self, link: _PeerLink) -> None:
-        """Write queued envelopes to the link's current socket."""
-        while True:
-            envelope = await link.outbox.get()
-            writer = link.writer
-            if writer is None:
-                # Socket vanished between queue and write: the message is
-                # gone, like a radio loss — the sender cannot tell.
-                self.stats.drops_lost += 1
-                if link.address is None:
-                    return
-                continue
-            try:
-                writer.write(encode_frame(envelope))
-                await writer.drain()
-            except (OSError, asyncio.TimeoutError):
-                self.stats.drops_lost += 1
-                if link.address is None:
-                    link.writer = None
-                    return
-                raise
 
     def __repr__(self) -> str:
         return f"LiveFabric(node={self.node.node_id}, peers={sorted(self._links)})"

@@ -98,6 +98,11 @@ class TrafficStats:
     drops_unreachable: int = 0
     drops_lost: int = 0
     drops_down: int = 0
+    #: Live fabric only: sends refused, or frames dropped at flush, that
+    #: would take a peer link past ``live.MAX_LINK_BUFFER`` unsent bytes.
+    drops_overflow: int = 0
+    #: Live fabric only: envelopes the wire codec rejected at flush.
+    drops_unencodable: int = 0
 
 
 class NetNode:

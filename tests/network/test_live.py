@@ -4,18 +4,29 @@ The equivalence suite (``test_live_equivalence``) proves whole-protocol
 fidelity; these tests pin the fabric-level semantics — Hello-keyed
 connection reuse, clique broadcast, and the transport-failure contract
 (``unicast -> False``, never ``OSError``, with client outcomes mapping
-to ``SEND_FAILED`` / ``EXHAUSTED``).
+to ``SEND_FAILED`` / ``EXHAUSTED``) — plus framing, malformed input,
+unencodable payloads and the bounded send side.
 """
 
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import os
+import socket
+import struct
 
 import pytest
 
 from repro.network.live import LiveFabric, parse_address
-from repro.network.messages import DirectoryAdvert, Envelope, PublishService
+from repro.network.messages import (
+    DirectoryAdvert,
+    Envelope,
+    Hello,
+    PublishService,
+    QueryResponse,
+)
+from repro.network.wire import MAX_FRAME, encode_frame
 from repro.network.node import ProtocolAgent
 
 
@@ -293,3 +304,184 @@ def test_malformed_code_answered_and_connection_survives(
 
     agent = _bad_then_good(tmp_path, small_workload, small_table, garble_code)
     assert agent.publish_errors == 1
+
+
+class Echo(ProtocolAgent):
+    """Answers every ``PublishService`` with the same payload."""
+
+    def on_message(self, envelope: Envelope) -> None:
+        if isinstance(envelope.payload, PublishService):
+            self.node.unicast(envelope.source, envelope.payload)
+
+
+async def _wait_for(condition, timeout: float = 5.0) -> None:
+    deadline = asyncio.get_event_loop().time() + timeout
+    while not condition():
+        assert asyncio.get_event_loop().time() < deadline, "condition never held"
+        await asyncio.sleep(0.01)
+
+
+def _frame(payload, source: int = 5) -> bytes:
+    return encode_frame(Envelope(type(payload).__name__, payload, source, 0, 1))
+
+
+def test_frames_split_and_batched_arrive_in_order(tmp_path):
+    """Several frames in one read, and one frame spread over many reads,
+    are all delivered, in send order."""
+
+    async def scenario():
+        address = os.path.join(str(tmp_path), "s.sock")
+        server = LiveFabric(0, listen=f"unix:{address}")
+        log = server.node.add_agent(Recorder())
+        await server.start()
+        reader, writer = await asyncio.open_unix_connection(address)
+        writer.write(b"".join(_frame(p) for p in (Hello(5), PublishService("a"), PublishService("b"))))
+        await writer.drain()
+        for byte in _frame(PublishService("c")):
+            writer.write(bytes([byte]))
+            await writer.drain()
+        await _wait_for(lambda: len(log.got) == 3)
+        assert [e.payload.document for e in log.got] == ["a", "b", "c"]
+        writer.close()
+        await server.close()
+
+    run(scenario())
+
+
+def test_unencodable_payload_is_dropped_and_the_link_keeps_serving(tmp_path):
+    """A payload the codec rejects is dropped and counted at flush; the
+    link stays up and later sends — in the same flush or a later one —
+    are delivered."""
+
+    async def scenario():
+        address = f"unix:{os.path.join(str(tmp_path), 's.sock')}"
+        server = LiveFabric(0, listen=address)
+        log = server.node.add_agent(Recorder())
+        client = LiveFabric(1, peers={0: address})
+        await server.start()
+        await client.start()
+        bad = QueryResponse(1, results=({"x": 1},))
+        assert client.node.unicast(0, bad)
+        assert client.node.unicast(0, PublishService("same flush"))
+        await _wait_for(lambda: len(log.got) == 1)
+        assert client.node.unicast(0, bad)
+        await asyncio.sleep(0.05)
+        assert client.is_up(0)
+        assert client.node.unicast(0, PublishService("later flush"))
+        await _wait_for(lambda: len(log.got) == 2)
+        assert [e.payload for e in log.got] == [
+            PublishService("same flush"),
+            PublishService("later flush"),
+        ]
+        assert client.stats.drops_unencodable == 2
+        await client.close()
+        await server.close()
+
+    run(scenario())
+
+
+def test_bytes_sent_counts_framed_bytes(tmp_path):
+    """Live traffic stats count the frames that went out, prefix
+    included; the ``Hello`` is connection overhead and not counted."""
+
+    async def scenario():
+        address = f"unix:{os.path.join(str(tmp_path), 's.sock')}"
+        server = LiveFabric(0, listen=address)
+        log = server.node.add_agent(Recorder())
+        client = LiveFabric(1, peers={0: address})
+        await server.start()
+        await client.start()
+        client.node.unicast(0, PublishService("<doc/>"))
+        await _wait_for(lambda: len(log.got) == 1)
+        sent = dataclasses.replace(log.got[0], hops=log.got[0].hops - 1)
+        assert client.stats.bytes_sent == len(encode_frame(sent))
+        await client.close()
+        await server.close()
+
+    run(scenario())
+
+
+MALFORMED = {
+    "undecodable_body": lambda: _frame(Hello(5)) + struct.pack(">I", 5) + b"{oops",
+    "oversized_prefix": lambda: _frame(Hello(5)) + struct.pack(">I", MAX_FRAME + 1),
+    "first_frame_not_hello": lambda: _frame(PublishService("x")),
+    "no_hello_in_time": lambda: b"",
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_closes_only_its_connection(tmp_path, case):
+    """The offending peer sees EOF, the node keeps accepting and answering
+    new connections, and ``close()`` leaves no accepted socket open."""
+
+    async def scenario():
+        address = os.path.join(str(tmp_path), "s.sock")
+        server = LiveFabric(0, listen=f"unix:{address}")
+        server.connect_timeout = 0.2
+        server.node.add_agent(Echo())
+        await server.start()
+        bystander = LiveFabric(2, peers={0: f"unix:{address}"})
+        heard = bystander.node.add_agent(Recorder())
+        await bystander.start()
+        reader, writer = await asyncio.open_unix_connection(address)
+        writer.write(MALFORMED[case]())
+        await writer.drain()
+        assert await asyncio.wait_for(reader.read(), 2.0) == b""
+        writer.close()
+        fresh = LiveFabric(1, peers={0: f"unix:{address}"})
+        answers = fresh.node.add_agent(Recorder())
+        await fresh.start()
+        assert fresh.node.unicast(0, PublishService("after"))
+        assert bystander.node.unicast(0, PublishService("bystander"))
+        await _wait_for(lambda: answers.got and heard.got)
+        assert answers.got[0].payload == PublishService("after")
+        assert heard.got[0].payload == PublishService("bystander")
+        await fresh.close()
+        await bystander.close()
+        await server.close()
+        assert not server._connections
+
+    run(scenario())
+
+
+def test_slow_consumer_is_bounded_and_refused(tmp_path, monkeypatch):
+    """A peer that stops reading: the link's unsent bytes stay at or under
+    the cap, further sends return False and count as overflow, and a
+    client query through that link fails as ``SEND_FAILED``."""
+    from repro.network import live
+    from repro.protocols.base import QueryOutcome
+    from repro.protocols.sariadne import SAriadneClientAgent
+
+    cap = 256 * 1024
+    monkeypatch.setattr(live, "MAX_LINK_BUFFER", cap)
+
+    async def scenario():
+        path = os.path.join(str(tmp_path), "stuck.sock")
+        stuck = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        stuck.bind(path)
+        stuck.listen(1)  # never accepted, never read
+        fabric = LiveFabric(1, peers={0: f"unix:{path}"})
+        fabric.connect_timeout = 0.2
+        client = fabric.node.add_agent(SAriadneClientAgent(lambda: 0))
+        await fabric.start()
+        link = fabric._links[0]
+        await _wait_for(lambda: link.transport is not None)
+        chunk = PublishService("x" * 4096)
+        refused = False
+        for _ in range(2000):
+            if not fabric.node.unicast(0, chunk):
+                refused = True
+                break
+            await asyncio.sleep(0)
+            assert link.unsent_bytes() <= cap
+        assert refused
+        await asyncio.sleep(0)
+        assert link.unsent_bytes() <= cap
+        assert fabric.node.unicast(0, chunk) is False
+        assert fabric.stats.drops_overflow >= 2
+        assert fabric.is_up(0)
+        assert client.query("<req/>").outcome is QueryOutcome.SEND_FAILED
+        await fabric.close()
+        stuck.close()
+
+    run(scenario())
