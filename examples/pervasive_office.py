@@ -14,10 +14,11 @@ requested VideoServer).  The scenario exercises:
    edge) — it was baked into the interval codes at classification time;
 2. **semantic matching** — the laser printer matches a generic print
    request but not the inkjet-class color request;
-3. **conversations** — the inkjet requires ``submit → confirm``; a client
-   planning a bare ``submit`` is rejected by the process check;
-4. **composition** — the inkjet requires PDF input; a converter service
+3. **composition** — the inkjet requires PDF input; a converter service
    provides Photo→PDF, and the planner wires it in transitively.
+
+The inkjet's profile also carries its ``submit → confirm`` conversation
+(an OWL-S process term), which travels with the advertisement.
 
 Run:  python examples/pervasive_office.py
 """
@@ -31,9 +32,8 @@ from repro import (
     ServiceProfile,
     ServiceRequest,
 )
-from repro.core.selection import filter_by_conversation
 from repro.ontology.fixtures import device, document, office_suite, service
-from repro.services.process import Invoke, Repeat, choice, sequence
+from repro.services.process import Invoke, sequence
 
 
 def build_services() -> list[ServiceProfile]:
@@ -73,10 +73,6 @@ def build_services() -> list[ServiceProfile]:
                 category=service("PrintService"),
             ),
         ),
-        # Fire-and-forget: confirmation is optional on the laser.
-        process=sequence(
-            Invoke("submit"), Repeat(body=choice(Invoke("confirm"), Invoke("cancel")))
-        ),
     )
     converter = ServiceProfile(
         uri="urn:office:svc:converter",
@@ -90,7 +86,6 @@ def build_services() -> list[ServiceProfile]:
                 category=service("ConversionService"),
             ),
         ),
-        process=Repeat(body=Invoke("convert")),
     )
     projector = ServiceProfile(
         uri="urn:office:svc:projector",
@@ -157,23 +152,13 @@ def main() -> None:
         ),
     )
     generic_matches = directory.query(generic)
-    print(f"generic print request: {[m.service_uri.rsplit(':', 1)[-1] for m in generic_matches]}")
+    print(f"generic print request: {[m.service_uri.rsplit(':', 1)[-1] for m in generic_matches]}\n")
+    assert {m.service_uri for m in generic_matches} == {
+        "urn:office:svc:inkjet",
+        "urn:office:svc:laser",
+    }
 
-    # 3: conversation check — a client that only submits (never confirms)
-    # cannot drive the inkjet's submit→confirm protocol.
-    impatient_client = Invoke("submit")
-    compatible = filter_by_conversation(generic_matches, impatient_client, directory)
-    print(
-        "after conversation check (client plans bare 'submit'):"
-        f" {[m.service_uri.rsplit(':', 1)[-1] for m in compatible]}"
-    )
-    assert [m.service_uri for m in compatible] == ["urn:office:svc:laser"]
-    polite_client = sequence(Invoke("submit"), Invoke("confirm"))
-    compatible = filter_by_conversation(generic_matches, polite_client, directory)
-    assert any(m.service_uri == "urn:office:svc:inkjet" for m in compatible)
-    print("a submit→confirm client may use both printers\n")
-
-    # 4: composition — the inkjet itself needs a Photo→Pdf conversion.
+    # 3: composition — the inkjet itself needs a Photo→Pdf conversion.
     plan = Composer(directory).compose(color_request)
     print("composition plan for the color print task:")
     for binding in plan.bindings:
@@ -184,25 +169,7 @@ def main() -> None:
         )
     assert plan.resolved
     assert "urn:office:svc:converter" in plan.services()
-    print(f"  resolved with total distance {plan.total_distance}\n")
-
-    # 5: consumption — drive the selected inkjet's conversation at runtime.
-    from repro.services.runtime import ProtocolViolation, ServiceRuntime
-
-    inkjet_profile = next(p for p in directory.services() if p.uri == "urn:office:svc:inkjet")
-    runtime = ServiceRuntime(inkjet_profile)
-    runtime.on("submit", lambda job="photo.pdf": f"queued {job}")
-    runtime.on("confirm", lambda: "printing")
-    session = runtime.open_session()
-    print("consuming the inkjet (submit -> confirm conversation):")
-    print(f"  submit  -> {runtime.call(session, 'submit', job='holiday.pdf')}")
-    try:
-        session.close()  # too early: the protocol still expects confirm
-    except ProtocolViolation as exc:
-        print(f"  close   -> rejected ({exc})")
-    print(f"  confirm -> {runtime.call(session, 'confirm')}")
-    session.close()
-    print(f"  session complete: {session.state.invocations}")
+    print(f"  resolved with total distance {plan.total_distance}")
 
 
 if __name__ == "__main__":

@@ -1,16 +1,16 @@
-"""QoS-aware selection and service composition in a smart home (§2.2).
+"""Semantic discovery and service composition in a smart home (§2.2).
 
 Amigo-S models *required* capabilities ("capabilities needed by a service,
 which will be sought on other networked services") precisely to enable
-composition, and promises QoS-/context-awareness.  This scenario uses
-both:
+composition.  This scenario:
 
-* a home cinema *task* needs a video stream and an ambient-light control;
-* the available video servers differ in latency and validity context
-  (the projector works only in the living room);
-* the best video server itself *requires* a media catalog, which must be
-  resolved transitively — compare the centrally coordinated planner with
-  the greedy peer-to-peer scheme.
+* discovers the video servers that semantically match a movie request,
+  ranked by semantic distance;
+* plans a home cinema *task* that needs a video stream and an
+  ambient-light control;
+* resolves the projector's own *required* media catalog transitively,
+  comparing the centrally coordinated planner with the greedy
+  peer-to-peer scheme.
 
 Run:  python examples/smart_home_composition.py
 """
@@ -20,21 +20,12 @@ from repro import (
     CodeTable,
     Composer,
     OntologyRegistry,
-    QosAwareSelector,
     SemanticDirectory,
     ServiceProfile,
     ServiceRequest,
 )
 from repro.ontology.generator import media_home_ontologies
 from repro.ontology.model import Ontology
-from repro.services.qos import (
-    ContextCondition,
-    ContextSnapshot,
-    QosConstraint,
-    QosOffer,
-    QosProfile,
-    QosRequirement,
-)
 
 NS = "http://repro.example.org/media"
 HOME = "http://repro.example.org/home"
@@ -62,7 +53,7 @@ def home_ontology() -> Ontology:
     return onto
 
 
-def build_services() -> list[tuple[ServiceProfile, QosProfile]]:
+def build_services() -> list[ServiceProfile]:
     projector = ServiceProfile(
         uri="urn:home:svc:projector",
         name="Projector",
@@ -83,14 +74,6 @@ def build_services() -> list[tuple[ServiceProfile, QosProfile]]:
             ),
         ),
     )
-    projector_qos = QosProfile.build(
-        {
-            "urn:home:cap:project": (
-                QosOffer.of(latency_ms=15.0, resolution=2160.0),
-                ContextCondition.requires(location="living-room"),
-            )
-        }
-    )
     tablet = ServiceProfile(
         uri="urn:home:svc:tablet",
         name="Tablet",
@@ -103,14 +86,6 @@ def build_services() -> list[tuple[ServiceProfile, QosProfile]]:
                 category=s("DigitalServer"),
             ),
         ),
-    )
-    tablet_qos = QosProfile.build(
-        {
-            "urn:home:cap:tabletplay": (
-                QosOffer.of(latency_ms=80.0, resolution=1080.0),
-                ContextCondition(),  # works anywhere
-            )
-        }
     )
     catalog = ServiceProfile(
         uri="urn:home:svc:catalog",
@@ -135,12 +110,7 @@ def build_services() -> list[tuple[ServiceProfile, QosProfile]]:
             ),
         ),
     )
-    return [
-        (projector, projector_qos),
-        (tablet, tablet_qos),
-        (catalog, QosProfile()),
-        (lights, QosProfile()),
-    ]
+    return [projector, tablet, catalog, lights]
 
 
 def main() -> None:
@@ -148,12 +118,10 @@ def main() -> None:
     registry = OntologyRegistry([resources, servers, home_ontology()])
     table = CodeTable(registry)
     directory = SemanticDirectory(table)
-    selector = QosAwareSelector(directory)
-    for profile, qos in build_services():
+    for profile in build_services():
         directory.publish(profile)
-        selector.register_qos(profile.uri, qos)
 
-    # --- QoS- and context-aware selection of the video source -----------
+    # --- semantic discovery of the video source -------------------------
     want_video = Capability.build(
         "urn:home:req:video",
         "WatchMovie",
@@ -162,16 +130,15 @@ def main() -> None:
         category=s("VideoServer"),
     )
     request = ServiceRequest(uri="urn:home:req:cinema-video", capabilities=(want_video,))
-    requirement = QosRequirement.where(QosConstraint("latency_ms", 100.0))
 
-    print("== video source selection ==")
-    for location in ("living-room", "garden"):
-        context = ContextSnapshot.of(location=location)
-        ranked = selector.select(request, requirement, context)
-        best = ranked[0] if ranked else None
-        names = [(m.service_uri.rsplit(":", 1)[-1], m.distance, round(m.utility, 2)) for m in ranked]
-        print(f"  in {location:<12} candidates={names} -> best: {best.service_uri if best else None}")
-    print("  (the projector only qualifies in the living room; elsewhere the tablet wins)\n")
+    print("== video source discovery ==")
+    matches = directory.query(request)
+    for match in matches:
+        print(f"  {match.service_uri.rsplit(':', 1)[-1]:<10} d={match.distance}")
+    # The projector advertises exactly what is asked; the tablet's more
+    # general Stream/DigitalServer advertisement matches at a distance.
+    assert [m.service_uri for m in matches] == ["urn:home:svc:projector", "urn:home:svc:tablet"]
+    print()
 
     # --- composition: cinema task = video + lights ----------------------
     # Per §2.3 the provider's output must *subsume* the requested one, so

@@ -31,7 +31,6 @@ from repro.core.capability_graph import CapabilityDag, QueryMode
 from repro.core.codes import CodeTable, ConceptCode, StaleCodesError
 from repro.core.composition import Composer, CompositionPlan
 from repro.core.directory import DirectoryMatch, FlatDirectory, SemanticDirectory
-from repro.core.selection import QosAwareSelector
 from repro.core.encoding import Interval, IntervalEncoder, linkinvexp
 from repro.core.matching import CodeMatcher, Matcher, MatchOutcome, TaxonomyMatcher
 from repro.core.summaries import DirectorySummary
@@ -52,7 +51,6 @@ __all__ = [
     "StaleCodesError",
     "Composer",
     "CompositionPlan",
-    "QosAwareSelector",
     "DirectoryMatch",
     "FlatDirectory",
     "SemanticDirectory",

@@ -24,7 +24,6 @@ from repro.core.directory import DirectoryMatch, FlatDirectory, SemanticDirector
 from repro.core.encoding import Interval, IntervalEncoder, linkinvexp
 from repro.core.interval_index import CandidateIndex, IntervalIndex
 from repro.core.matching import CodeMatcher, MatchOutcome, Matcher, MatcherStats, TaxonomyMatcher
-from repro.core.selection import QosAwareSelector, RankedMatch
 from repro.core.summaries import DirectorySummary
 
 __all__ = [
@@ -38,8 +37,6 @@ __all__ = [
     "Composer",
     "CompositionError",
     "CompositionPlan",
-    "QosAwareSelector",
-    "RankedMatch",
     "DirectoryMatch",
     "FlatDirectory",
     "SemanticDirectory",

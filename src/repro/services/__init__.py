@@ -19,21 +19,6 @@ from repro.services.process import (
     Invoke,
     Repeat,
     Sequence,
-    compile_process,
-    conversations_compatible,
-)
-from repro.services.qos import (
-    ContextCondition,
-    ContextSnapshot,
-    QosConstraint,
-    QosOffer,
-    QosProfile,
-    QosRequirement,
-)
-from repro.services.runtime import (
-    ProtocolViolation,
-    ServiceRuntime,
-    ServiceSession,
 )
 from repro.services.wsdl import WsdlDescription, WsdlOperation, WsdlRequest
 from repro.services.xml_codec import (
@@ -56,17 +41,6 @@ __all__ = [
     "Invoke",
     "Repeat",
     "Sequence",
-    "compile_process",
-    "conversations_compatible",
-    "ContextCondition",
-    "ContextSnapshot",
-    "QosConstraint",
-    "QosOffer",
-    "QosProfile",
-    "QosRequirement",
-    "ProtocolViolation",
-    "ServiceRuntime",
-    "ServiceSession",
     "WsdlDescription",
     "WsdlOperation",
     "WsdlRequest",

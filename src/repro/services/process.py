@@ -3,37 +3,24 @@
 "The process model is a representation of the service conversation, i.e.,
 the interaction protocol between a service and its client that is
 described as a process."  The paper's discovery layer only consumes the
-profile, but a complete Amigo-S implementation carries conversations, and
-the group's companion work (COCOA) checks client/service conversation
-*compatibility* before binding.  This module provides that substrate:
+profile, so conversations here are carried and serialised with it, not
+checked: a :class:`~repro.services.profile.ServiceProfile` may hold one
+process term, and :mod:`repro.services.xml_codec` round-trips it.
 
-* process terms in the OWL-S control-construct style —
-  :class:`Invoke` (atomic), :class:`Sequence`, :class:`Choice`,
-  :class:`Repeat` (zero-or-more), :class:`AnyOrder` (interleaving of two
-  or more parts, OWL-S's ``Any-Order``);
-* compilation to a nondeterministic finite automaton over operation
-  names (Thompson construction);
-* :func:`conversations_compatible` — language containment
-  ``L(client) ⊆ L(service)``: every interaction sequence the client may
-  drive is accepted by the service's conversation.
-
-Interleaving (:class:`AnyOrder`) is exponential in the number of parts;
-the constructor bounds it.
+The terms follow the OWL-S control constructs — :class:`Invoke`
+(atomic), :class:`Sequence`, :class:`Choice`, :class:`Repeat`
+(zero-or-more) and :class:`AnyOrder` (interleaving of two to four parts,
+OWL-S's ``Any-Order``).  Constructors reject structurally invalid terms
+with :class:`ProcessError`.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class ProcessError(ValueError):
     """Raised for structurally invalid process terms."""
-
-
-# ---------------------------------------------------------------------------
-# Process terms
-# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -46,10 +33,6 @@ class Invoke:
         if not self.operation:
             raise ProcessError("operation name must be non-empty")
 
-    def alphabet(self) -> frozenset[str]:
-        """The single invoked operation name."""
-        return frozenset({self.operation})
-
 
 @dataclass(frozen=True)
 class Sequence:
@@ -60,10 +43,6 @@ class Sequence:
     def __post_init__(self) -> None:
         if not self.parts:
             raise ProcessError("Sequence needs at least one part")
-
-    def alphabet(self) -> frozenset[str]:
-        """Union of the parts' operation names."""
-        return frozenset().union(*(p.alphabet() for p in self.parts))
 
 
 @dataclass(frozen=True)
@@ -76,10 +55,6 @@ class Choice:
         if len(self.branches) < 2:
             raise ProcessError("Choice needs at least two branches")
 
-    def alphabet(self) -> frozenset[str]:
-        """Union of the branches' operation names."""
-        return frozenset().union(*(b.alphabet() for b in self.branches))
-
 
 @dataclass(frozen=True)
 class Repeat:
@@ -87,17 +62,13 @@ class Repeat:
 
     body: "ProcessTerm"
 
-    def alphabet(self) -> frozenset[str]:
-        """Operation names of the repeated body."""
-        return self.body.alphabet()
-
 
 @dataclass(frozen=True)
 class AnyOrder:
     """All parts execute, in any interleaving (OWL-S Any-Order).
 
     Raises:
-        ProcessError: with more than 4 parts (state-space guard).
+        ProcessError: with more than 4 parts (at most 4! interleavings).
     """
 
     parts: tuple["ProcessTerm", ...]
@@ -107,10 +78,6 @@ class AnyOrder:
             raise ProcessError("AnyOrder needs at least two parts")
         if len(self.parts) > 4:
             raise ProcessError("AnyOrder supports at most 4 parts (interleaving blow-up)")
-
-    def alphabet(self) -> frozenset[str]:
-        """Union of the interleaved parts' operation names."""
-        return frozenset().union(*(p.alphabet() for p in self.parts))
 
 
 ProcessTerm = Invoke | Sequence | Choice | Repeat | AnyOrder
@@ -124,189 +91,3 @@ def sequence(*parts: ProcessTerm) -> ProcessTerm:
 def choice(*branches: ProcessTerm) -> Choice:
     """Convenience constructor for :class:`Choice`."""
     return Choice(branches=tuple(branches))
-
-
-# ---------------------------------------------------------------------------
-# NFA compilation (Thompson construction)
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class Nfa:
-    """An ε-NFA over operation names.
-
-    States are integers; transitions map ``(state, symbol)`` to state sets,
-    ``epsilon`` maps states to state sets.
-    """
-
-    start: int
-    accept: int
-    transitions: dict[tuple[int, str], set[int]] = field(default_factory=dict)
-    epsilon: dict[int, set[int]] = field(default_factory=dict)
-    state_count: int = 0
-
-    def alphabet(self) -> frozenset[str]:
-        """Every symbol appearing on a transition."""
-        return frozenset(symbol for _state, symbol in self.transitions)
-
-    # -- construction helpers ------------------------------------------
-    def _new_state(self) -> int:
-        state = self.state_count
-        self.state_count += 1
-        return state
-
-    def _add_edge(self, src: int, symbol: str, dst: int) -> None:
-        self.transitions.setdefault((src, symbol), set()).add(dst)
-
-    def _add_epsilon(self, src: int, dst: int) -> None:
-        self.epsilon.setdefault(src, set()).add(dst)
-
-    # -- execution -------------------------------------------------------
-    def epsilon_closure(self, states: frozenset[int]) -> frozenset[int]:
-        """All states reachable via ε-edges."""
-        result = set(states)
-        stack = list(states)
-        while stack:
-            state = stack.pop()
-            for nxt in self.epsilon.get(state, ()):
-                if nxt not in result:
-                    result.add(nxt)
-                    stack.append(nxt)
-        return frozenset(result)
-
-    def step(self, states: frozenset[int], symbol: str) -> frozenset[int]:
-        """One symbol step (with closure on both sides)."""
-        closed = self.epsilon_closure(states)
-        moved: set[int] = set()
-        for state in closed:
-            moved |= self.transitions.get((state, symbol), set())
-        return self.epsilon_closure(frozenset(moved))
-
-    def accepts(self, word: list[str] | tuple[str, ...]) -> bool:
-        """Does the automaton accept this operation sequence?"""
-        current = self.epsilon_closure(frozenset({self.start}))
-        for symbol in word:
-            current = self.step(current, symbol)
-            if not current:
-                return False
-        return self.accept in self.epsilon_closure(current)
-
-
-def _compile(term: ProcessTerm, nfa: Nfa) -> tuple[int, int]:
-    if isinstance(term, Invoke):
-        start, accept = nfa._new_state(), nfa._new_state()
-        nfa._add_edge(start, term.operation, accept)
-        return start, accept
-    if isinstance(term, Sequence):
-        first_start, previous_accept = _compile(term.parts[0], nfa)
-        for part in term.parts[1:]:
-            part_start, part_accept = _compile(part, nfa)
-            nfa._add_epsilon(previous_accept, part_start)
-            previous_accept = part_accept
-        return first_start, previous_accept
-    if isinstance(term, Choice):
-        start, accept = nfa._new_state(), nfa._new_state()
-        for branch in term.branches:
-            branch_start, branch_accept = _compile(branch, nfa)
-            nfa._add_epsilon(start, branch_start)
-            nfa._add_epsilon(branch_accept, accept)
-        return start, accept
-    if isinstance(term, Repeat):
-        start, accept = nfa._new_state(), nfa._new_state()
-        body_start, body_accept = _compile(term.body, nfa)
-        nfa._add_epsilon(start, body_start)
-        nfa._add_epsilon(body_accept, body_start)
-        nfa._add_epsilon(body_accept, accept)
-        nfa._add_epsilon(start, accept)
-        return start, accept
-    if isinstance(term, AnyOrder):
-        # Expand to a Choice over all orderings (bounded by the guard).
-        orderings = [
-            Sequence(parts=tuple(perm)) for perm in itertools.permutations(term.parts)
-        ]
-        return _compile(Choice(branches=tuple(orderings)), nfa)
-    raise ProcessError(f"unknown process term {term!r}")
-
-
-def compile_process(term: ProcessTerm) -> Nfa:
-    """Compile a process term into an ε-NFA."""
-    nfa = Nfa(start=0, accept=0)
-    nfa.start, nfa.accept = _compile(term, nfa)
-    return nfa
-
-
-# ---------------------------------------------------------------------------
-# Conversation compatibility (language containment)
-# ---------------------------------------------------------------------------
-
-
-def _determinize(nfa: Nfa, alphabet: frozenset[str]) -> tuple[dict[tuple[frozenset[int], str], frozenset[int]], frozenset[int]]:
-    """Subset construction over a fixed alphabet; returns (delta, start)."""
-    start = nfa.epsilon_closure(frozenset({nfa.start}))
-    delta: dict[tuple[frozenset[int], str], frozenset[int]] = {}
-    stack = [start]
-    seen = {start}
-    while stack:
-        current = stack.pop()
-        for symbol in alphabet:
-            nxt = nfa.step(current, symbol)
-            delta[(current, symbol)] = nxt
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return delta, start
-
-
-def conversations_compatible(client: ProcessTerm, service: ProcessTerm) -> bool:
-    """True iff every complete client interaction is a valid service one:
-    ``L(client) ⊆ L(service)``.
-
-    Checked on the product of the client NFA with the determinized service
-    automaton: the languages are incompatible iff some reachable product
-    state is client-accepting but service-rejecting.
-    """
-    client_nfa = compile_process(client)
-    service_nfa = compile_process(service)
-    alphabet = client_nfa.alphabet() | service_nfa.alphabet()
-    service_delta, service_start = _determinize(service_nfa, alphabet)
-
-    client_start = client_nfa.epsilon_closure(frozenset({client_nfa.start}))
-    stack = [(client_start, service_start)]
-    seen = {(client_start, service_start)}
-    while stack:
-        client_states, service_states = stack.pop()
-        client_accepting = client_nfa.accept in client_nfa.epsilon_closure(client_states)
-        service_accepting = service_nfa.accept in service_nfa.epsilon_closure(service_states)
-        if client_accepting and not service_accepting:
-            return False
-        for symbol in alphabet:
-            next_client = client_nfa.step(client_states, symbol)
-            if not next_client:
-                continue  # the client never drives this continuation
-            next_service = service_delta[(service_states, symbol)]
-            pair = (next_client, next_service)
-            if pair not in seen:
-                seen.add(pair)
-                stack.append(pair)
-    return True
-
-
-def example_words(term: ProcessTerm, limit: int = 10, max_length: int = 8) -> list[tuple[str, ...]]:
-    """Enumerate accepted operation sequences (shortest first; diagnostics)."""
-    nfa = compile_process(term)
-    alphabet = sorted(nfa.alphabet())
-    results: list[tuple[str, ...]] = []
-    queue: list[tuple[tuple[str, ...], frozenset[int]]] = [
-        ((), nfa.epsilon_closure(frozenset({nfa.start})))
-    ]
-    while queue and len(results) < limit:
-        word, states = queue.pop(0)
-        if nfa.accept in nfa.epsilon_closure(states):
-            results.append(word)
-        if len(word) >= max_length:
-            continue
-        for symbol in alphabet:
-            nxt = nfa.step(states, symbol)
-            if nxt:
-                queue.append(((*word, symbol), nxt))
-    return results

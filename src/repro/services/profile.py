@@ -171,7 +171,8 @@ class ServiceProfile:
     qos: tuple[tuple[str, str], ...] = ()
     grounding: Grounding = field(default_factory=Grounding)
     #: Optional OWL-S-style process model: the service conversation
-    #: (:mod:`repro.services.process`).  ``None`` = unconstrained.
+    #: (:mod:`repro.services.process`), carried and serialised with the
+    #: profile; discovery does not read it.  ``None`` = none declared.
     process: ProcessTerm | None = None
 
     def __post_init__(self) -> None:

@@ -13,6 +13,9 @@ import re
 
 _URI_RE = re.compile(r"^[a-zA-Z][a-zA-Z0-9+.-]*:")
 _FRAGMENT_RE = re.compile(r"#([^#/]+)$")
+#: ``\s`` on ``str`` patterns matches exactly the code points ``str.isspace``
+#: accepts (``tests/util/test_ids.py`` checks all of them).
+_SPACE_RE = re.compile(r"\s")
 
 #: Default namespace for synthetic entities produced by the generators.
 DEFAULT_NAMESPACE = "urn:repro"
@@ -33,7 +36,7 @@ def validate_uri(uri: str) -> str:
     """
     if not isinstance(uri, str) or not uri:
         raise InvalidUriError(f"URI must be a non-empty string, got {uri!r}")
-    if any(ch.isspace() for ch in uri):
+    if _SPACE_RE.search(uri):
         raise InvalidUriError(f"URI may not contain whitespace: {uri!r}")
     if not _URI_RE.match(uri):
         raise InvalidUriError(f"URI has no scheme: {uri!r}")

@@ -1,10 +1,9 @@
-"""Tests for Paolucci-style match degrees and conversation filtering."""
+"""Tests for Paolucci-style match degrees and profiles carrying conversations."""
 
 import pytest
 
 from repro.core.directory import SemanticDirectory
 from repro.core.matching import MatchDegree, TaxonomyMatcher
-from repro.core.selection import filter_by_conversation
 from repro.services.process import Invoke, Repeat, choice, sequence
 from repro.services.profile import Capability, ServiceProfile, ServiceRequest
 
@@ -72,6 +71,8 @@ class TestOutputDegree:
 
 
 class TestConversationFilter:
+    """Conversations carried by profiles do not filter discovery."""
+
     @pytest.fixture()
     def directory(self, media_table):
         directory = SemanticDirectory(media_table)
@@ -110,19 +111,6 @@ class TestConversationFilter:
 
     def test_all_match_semantically(self, directory):
         assert len(directory.query(self._request())) == 3
-
-    def test_filter_keeps_compatible_and_unconstrained(self, directory):
-        client = Invoke("play")  # just play, no login
-        matches = directory.query(self._request())
-        kept = filter_by_conversation(matches, client, directory)
-        assert {m.service_uri for m in kept} == {"urn:x:svc:lenient", "urn:x:svc:open"}
-
-    def test_filter_keeps_all_for_conforming_client(self, directory):
-        client = sequence(Invoke("login"), Invoke("play"), Invoke("logout"))
-        matches = directory.query(self._request())
-        kept = filter_by_conversation(matches, client, directory)
-        # Conversation matches strict exactly; lenient cannot accept login.
-        assert {m.service_uri for m in kept} == {"urn:x:svc:strict", "urn:x:svc:open"}
 
 
 class TestProcessXmlRoundtrip:

@@ -3,6 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.services.process import AnyOrder, Choice, Invoke, Repeat, Sequence
 from repro.services.profile import Capability, Grounding, ServiceProfile, ServiceRequest
 from repro.services.xml_codec import (
     profile_from_xml,
@@ -42,6 +43,27 @@ def capabilities(draw, index: int = 0):
 
 
 @st.composite
+def process_terms(draw, depth: int = 3):
+    """Random process terms of all five kinds over a small alphabet."""
+    ops = ["a", "b", "c"]
+    if depth == 0:
+        return Invoke(draw(st.sampled_from(ops)))
+    kind = draw(st.integers(0, 4))
+    if kind == 0:
+        return Invoke(draw(st.sampled_from(ops)))
+    if kind == 1:
+        parts = draw(st.lists(process_terms(depth=depth - 1), min_size=1, max_size=3))
+        return Sequence(parts=tuple(parts))
+    if kind == 2:
+        branches = draw(st.lists(process_terms(depth=depth - 1), min_size=2, max_size=3))
+        return Choice(branches=tuple(branches))
+    if kind == 3:
+        parts = draw(st.lists(process_terms(depth=depth - 1), min_size=2, max_size=4))
+        return AnyOrder(parts=tuple(parts))
+    return Repeat(body=draw(process_terms(depth=depth - 1)))
+
+
+@st.composite
 def profiles(draw):
     count = draw(st.integers(min_value=0, max_value=3))
     provided = tuple(draw(capabilities(index=i)) for i in range(count))
@@ -68,6 +90,7 @@ def profiles(draw):
         middleware=draw(_name),
         qos=tuple(draw(st.lists(st.tuples(_name, _name), max_size=3))),
         grounding=Grounding(endpoint=f"http://h/{draw(_name)}", wsdl_uri=""),
+        process=draw(st.one_of(st.none(), process_terms())),
     )
 
 

@@ -1,21 +1,13 @@
-"""Tests for the OWL-S-style process model and conversation checking."""
+"""Tests for the OWL-S-style process terms' structural validation."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.services.process import (
     AnyOrder,
     Choice,
     Invoke,
     ProcessError,
-    Repeat,
     Sequence,
-    choice,
-    compile_process,
-    conversations_compatible,
-    example_words,
-    sequence,
 )
 
 
@@ -37,162 +29,3 @@ class TestTermValidation:
             AnyOrder(parts=(Invoke("a"),))
         with pytest.raises(ProcessError):
             AnyOrder(parts=tuple(Invoke(f"op{i}") for i in range(5)))
-
-    def test_alphabet(self):
-        term = sequence(Invoke("browse"), choice(Invoke("play"), Invoke("download")))
-        assert term.alphabet() == {"browse", "play", "download"}
-
-
-class TestAcceptance:
-    def test_atomic(self):
-        nfa = compile_process(Invoke("play"))
-        assert nfa.accepts(["play"])
-        assert not nfa.accepts([])
-        assert not nfa.accepts(["play", "play"])
-
-    def test_sequence(self):
-        nfa = compile_process(sequence(Invoke("login"), Invoke("play")))
-        assert nfa.accepts(["login", "play"])
-        assert not nfa.accepts(["play", "login"])
-        assert not nfa.accepts(["login"])
-
-    def test_choice(self):
-        nfa = compile_process(choice(Invoke("play"), Invoke("download")))
-        assert nfa.accepts(["play"])
-        assert nfa.accepts(["download"])
-        assert not nfa.accepts(["play", "download"])
-
-    def test_repeat(self):
-        nfa = compile_process(Repeat(body=Invoke("next")))
-        assert nfa.accepts([])
-        assert nfa.accepts(["next"])
-        assert nfa.accepts(["next"] * 5)
-        assert not nfa.accepts(["prev"])
-
-    def test_any_order(self):
-        nfa = compile_process(AnyOrder(parts=(Invoke("a"), Invoke("b"), Invoke("c"))))
-        assert nfa.accepts(["a", "b", "c"])
-        assert nfa.accepts(["c", "a", "b"])
-        assert not nfa.accepts(["a", "b"])
-        assert not nfa.accepts(["a", "b", "c", "a"])
-
-    def test_nested(self):
-        term = sequence(
-            Invoke("login"),
-            Repeat(body=choice(Invoke("browse"), Invoke("search"))),
-            Invoke("logout"),
-        )
-        nfa = compile_process(term)
-        assert nfa.accepts(["login", "logout"])
-        assert nfa.accepts(["login", "browse", "search", "browse", "logout"])
-        assert not nfa.accepts(["login", "browse"])
-
-    def test_unknown_symbol_rejects(self):
-        nfa = compile_process(Invoke("play"))
-        assert not nfa.accepts(["hack"])
-
-
-class TestCompatibility:
-    @pytest.fixture()
-    def media_service(self):
-        """browse* then (play | download), optionally rate afterwards."""
-        return sequence(
-            Repeat(body=Invoke("browse")),
-            choice(Invoke("play"), Invoke("download")),
-            Repeat(body=Invoke("rate")),
-        )
-
-    def test_subset_client_compatible(self, media_service):
-        client = sequence(Invoke("browse"), Invoke("play"))
-        assert conversations_compatible(client, media_service)
-
-    def test_minimal_client_compatible(self, media_service):
-        assert conversations_compatible(Invoke("download"), media_service)
-
-    def test_wrong_order_incompatible(self, media_service):
-        client = sequence(Invoke("play"), Invoke("browse"))
-        assert not conversations_compatible(client, media_service)
-
-    def test_unknown_operation_incompatible(self, media_service):
-        client = sequence(Invoke("browse"), Invoke("burnDvd"))
-        assert not conversations_compatible(client, media_service)
-
-    def test_client_choice_must_be_fully_covered(self, media_service):
-        # One branch fine, the other not -> incompatible.
-        client = choice(Invoke("play"), Invoke("burnDvd"))
-        assert not conversations_compatible(client, media_service)
-
-    def test_identical_conversations_compatible(self, media_service):
-        assert conversations_compatible(media_service, media_service)
-
-    def test_reflexivity_random(self):
-        term = sequence(
-            Invoke("a"), Repeat(body=Invoke("b")), choice(Invoke("c"), Invoke("d"))
-        )
-        assert conversations_compatible(term, term)
-
-    def test_repeat_client_against_bounded_service(self):
-        service = sequence(Invoke("ping"), Invoke("ping"))
-        client = Repeat(body=Invoke("ping"))
-        # The client may stop after 0, 1, 3... pings: not contained.
-        assert not conversations_compatible(client, service)
-
-
-class TestExampleWords:
-    def test_shortest_first(self):
-        term = sequence(Repeat(body=Invoke("a")), Invoke("b"))
-        words = example_words(term, limit=3)
-        assert words[0] == ("b",)
-        assert words[1] == ("a", "b")
-
-    def test_limit_respected(self):
-        words = example_words(Repeat(body=Invoke("x")), limit=4)
-        assert len(words) == 4
-
-
-@st.composite
-def process_terms(draw, depth: int = 3):
-    """Random process terms over a small alphabet."""
-    ops = ["a", "b", "c"]
-    if depth == 0:
-        return Invoke(draw(st.sampled_from(ops)))
-    kind = draw(st.integers(0, 3))
-    if kind == 0:
-        return Invoke(draw(st.sampled_from(ops)))
-    if kind == 1:
-        parts = draw(st.lists(process_terms(depth=depth - 1), min_size=1, max_size=3))
-        return Sequence(parts=tuple(parts))
-    if kind == 2:
-        branches = draw(st.lists(process_terms(depth=depth - 1), min_size=2, max_size=3))
-        return Choice(branches=tuple(branches))
-    return Repeat(body=draw(process_terms(depth=depth - 1)))
-
-
-class TestCompatibilityProperties:
-    @given(process_terms())
-    @settings(max_examples=60, deadline=None)
-    def test_containment_reflexive(self, term):
-        assert conversations_compatible(term, term)
-
-    @given(process_terms(), process_terms())
-    @settings(max_examples=60, deadline=None)
-    def test_containment_agrees_with_sampled_words(self, client, service):
-        compatible = conversations_compatible(client, service)
-        service_nfa = compile_process(service)
-        for word in example_words(client, limit=6, max_length=6):
-            if not service_nfa.accepts(word):
-                assert not compatible
-                break
-        else:
-            # All sampled client words accepted: containment may or may not
-            # hold on longer words, but a verdict of compatible must never
-            # contradict the samples.
-            pass
-
-    @given(process_terms())
-    @settings(max_examples=40, deadline=None)
-    def test_sequence_extension_breaks_containment(self, term):
-        """Appending a fresh operation produces words the original cannot
-        accept."""
-        extended = Sequence(parts=(term, Invoke("zz")))
-        assert not conversations_compatible(extended, term)

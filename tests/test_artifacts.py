@@ -136,3 +136,17 @@ class TestDocsLint:
         findings = "\n".join(docs_lint.lint(tmp_path))
         assert "no such anchor #missing-section" in findings
         assert "2-the-wire-format" not in findings
+
+    def test_module_reference_check(self, tmp_path):
+        package = tmp_path / "src" / "repro" / "core"
+        package.mkdir(parents=True)
+        (package.parent / "__init__.py").write_text("")
+        (package / "__init__.py").write_text("")
+        (package / "directory.py").write_text("class SemanticDirectory:\n    pass\n")
+        (tmp_path / "README.md").write_text(
+            "`repro.core.directory.SemanticDirectory` lives; see [notes](NOTES.md).\n"
+        )
+        (tmp_path / "NOTES.md").write_text("`repro.core.selection` is gone.\n")
+        (tmp_path / "PAPER.md").write_text("Quotes `repro.services.amigos`.\n")
+        findings = docs_lint.lint(tmp_path)
+        assert findings == ["NOTES.md:1: no module or name repro.core.selection under src/"]

@@ -1,5 +1,7 @@
 """Tests for URI helpers."""
 
+import sys
+
 import pytest
 
 from repro.util.ids import (
@@ -29,6 +31,19 @@ class TestValidateUri:
     def test_rejects_whitespace(self):
         with pytest.raises(InvalidUriError):
             validate_uri("http://example.org/a b")
+
+    def test_whitespace_check_agrees_with_isspace_on_every_code_point(self):
+        disagree = []
+        for code in range(sys.maxunicode + 1):
+            char = chr(code)
+            try:
+                validate_uri("urn:a" + char + "b")
+                rejected = False
+            except InvalidUriError:
+                rejected = True
+            if rejected != char.isspace():
+                disagree.append(hex(code))
+        assert disagree == []
 
     def test_rejects_schemeless(self):
         with pytest.raises(InvalidUriError):
