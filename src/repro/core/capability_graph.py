@@ -383,7 +383,7 @@ class CapabilityDag:
         semantic matches evaluated.
         """
         obs = self.obs
-        if not obs.enabled:
+        if not obs.tracing:
             return self._search(requested, matcher, mode, self._candidates(requested, matcher))
         with obs.span("dag.descend", mode=mode.name.lower(), vertices=len(self._nodes)) as span:
             candidates = self._candidates(requested, matcher)

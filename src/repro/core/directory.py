@@ -347,12 +347,12 @@ class SemanticDirectory:
             MalformedCodeError: an embedded code does not parse.
         """
         obs = self._obs
-        with obs.span("query.parse") if obs.enabled else nullcontext():
+        with obs.span("query.parse") if obs.tracing else nullcontext():
             with self.timer.phase("parse"):
                 request, annotations = request_from_xml(document)
         extra = None
         if annotations:
-            with obs.span("query.encode") if obs.enabled else nullcontext():
+            with obs.span("query.encode") if obs.tracing else nullcontext():
                 with self.timer.phase("encode"):
                     extra = self.table.resolve_annotations(annotations.codes, annotations.version)
         return self._query(request, self._matcher(extra, query=True))
@@ -384,7 +384,7 @@ class SemanticDirectory:
         results: list[DirectoryMatch] = []
         with self.timer.phase("match"):
             for capability in request.capabilities:
-                if obs.enabled:
+                if obs.tracing:
                     with obs.span("graph.select") as span:
                         graphs = self._candidate_graphs(capability)
                         span.attrs["graphs"] = len(graphs)

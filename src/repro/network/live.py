@@ -549,7 +549,8 @@ class LiveFabric:
         if link.full():
             self._dropped("overflow")
             return False
-        self.record(origin.node_id, "unicast", f"{type(payload).__name__} -> {dest}")
+        if self.trace is not None:
+            self.record(origin.node_id, "unicast", f"{type(payload).__name__} -> {dest}")
         self.stats.unicasts += 1
         if self.obs.enabled:
             self.obs.counter("net.messages", node=origin.node_id).inc()
@@ -558,7 +559,8 @@ class LiveFabric:
 
     def flood(self, origin: LiveNode, payload: object, ttl: int) -> None:
         """Fan out to every live peer once (clique overlay — no relay)."""
-        self.record(origin.node_id, "flood", f"{type(payload).__name__} ttl={ttl}")
+        if self.trace is not None:
+            self.record(origin.node_id, "flood", f"{type(payload).__name__} ttl={ttl}")
         envelope = self._wrap(payload, dest=None, hops=0, ttl=ttl)
         self.stats.broadcasts += 1
         for _peer_id, link in sorted(self._links.items()):
@@ -573,7 +575,9 @@ class LiveFabric:
 
     def _wrap(self, payload: object, dest: int | None, hops: int, ttl: int = 0) -> Envelope:
         # Stamp the ambient trace context (the span this send happens
-        # inside, or a client's activated query context) onto the frame.
+        # inside, or an activated query context: a client's, or one an
+        # untraced query relays) onto the frame.  Untraced queries with no
+        # incoming context activate nothing, so their frames carry none.
         trace = self.obs.tracer.current_traceparent() if self.obs.enabled else None
         return Envelope(
             kind=type(payload).__name__,

@@ -599,7 +599,8 @@ class Network:
         if origin.node_id in self.down:
             self.stats.drops_down += 1
             return
-        self.record(origin.node_id, "flood", f"{type(payload).__name__} ttl={ttl}")
+        if self.trace is not None:
+            self.record(origin.node_id, "flood", f"{type(payload).__name__} ttl={ttl}")
         envelope = Envelope(
             kind=type(payload).__name__,
             payload=payload,
@@ -683,7 +684,8 @@ class Network:
         if origin.node_id in self.down:
             self.stats.drops_down += 1
             return False
-        self.record(origin.node_id, "unicast", f"{type(payload).__name__} -> {dest}")
+        if self.trace is not None:
+            self.record(origin.node_id, "unicast", f"{type(payload).__name__} -> {dest}")
         path = self.shortest_path(origin.node_id, dest)
         if path is None:
             self.stats.drops_unreachable += 1

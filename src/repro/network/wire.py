@@ -11,8 +11,10 @@ passes by reference travel TCP/UDS as::
     └──────────────┴─────────────────────────────────────────────┘
 
 ``trace`` is the optional W3C-traceparent-style context
-(:class:`~repro.obs.spans.TraceContext`) stamped by the sending fabric;
-it is omitted entirely when tracing is off, so untraced frames are
+(:class:`~repro.obs.spans.TraceContext`) stamped by the sending fabric.
+It is present only when the send happens inside a traced query (a sink
+or collector is attached) or relays a context that arrived with the
+query; otherwise it is omitted entirely, so untraced frames are
 byte-identical to the previous format.
 
 JSON keeps the codec dependency-free and debuggable on the wire; the two

@@ -16,12 +16,22 @@ telemetry layer instead of ad-hoc counters:
 * :mod:`~repro.obs.sinks` — in-memory ring buffer and JSONL file sinks;
   ``repro.cli trace-report`` renders the JSONL form.
 
-Everything hangs off an :class:`Observability` façade.  The default wired
-through the stack is :data:`NULL_OBS`, a null object whose ``enabled``
-flag is False: every instrumented hot path guards with
-``if obs.enabled:``, so disabled observability costs one attribute check
-(the <5 % regression budget of the benchmarks).  See
-``docs/OBSERVABILITY.md`` for the span schema and metric names.
+Everything hangs off an :class:`Observability` façade, in one of three
+states:
+
+* :data:`NULL_OBS`, the default wired through the stack: ``enabled`` and
+  ``tracing`` are both False, so every instrumented hot path costs one
+  attribute check (the <5 % regression budget of the benchmarks);
+* metrics only, an :class:`Observability` with no sink (what
+  ``repro.cli serve`` builds by default): counters and histograms guard
+  with ``if obs.enabled:`` and are recorded; spans guard with
+  ``if obs.tracing:`` and are not built, and frames carry no trace
+  context unless they relay one that arrived with the query;
+* traced, once a sink is attached (a ``--collector`` attaches one):
+  every query whose incoming context is absent or sampled builds its
+  span tree and stamps its context on the frames it causes.
+
+See ``docs/OBSERVABILITY.md`` for the span schema and metric names.
 """
 
 from __future__ import annotations
@@ -31,7 +41,7 @@ from contextlib import contextmanager
 from repro.obs.events import EventLog, LifecycleEvent
 from repro.obs.metrics import Counter, Histogram, MetricsRegistry, MetricsScope
 from repro.obs.sinks import JsonlSink, RingBufferSink
-from repro.obs.spans import Span, TraceContext, Tracer
+from repro.obs.spans import NO_CONTEXT, Span, TraceContext, Tracer
 from repro.obs.timeseries import TimeSeriesRecorder
 
 __all__ = [
@@ -56,10 +66,13 @@ __all__ = [
 class Observability:
     """Tracing + metrics façade threaded through the discovery stack.
 
+    Metrics are recorded whenever the instance exists; spans only while
+    :attr:`tracing` is true, that is while some sink reads them.
+
     Args:
         sinks: objects with ``emit(span)`` (and optionally
             ``emit_metrics(snapshot)`` / ``close()``) receiving finished
-            root spans.
+            root spans.  Sinks appended to :attr:`sinks` later count too.
         metrics: share an existing registry/scope instead of a fresh one.
         tracer: share an existing tracer (used by :meth:`scoped` views so
             spans from every scope land in one stream).
@@ -92,6 +105,20 @@ class Observability:
                 emit_timeseries(window)
 
     # -- tracing ---------------------------------------------------------
+    @property
+    def tracing(self) -> bool:
+        """Whether instrumented code builds spans: a sink is attached and
+        no unsampled trace context is active."""
+        return bool(self.sinks) and self.tracer.sampled
+
+    def traces(self, context: TraceContext | None) -> bool:
+        """Whether a query arriving with ``context`` (None: no context on
+        its frame) is traced here: this process is :attr:`tracing` and the
+        context is absent or sampled.  An untraced query builds no span;
+        its handler activates ``context`` so the frames it causes relay
+        it unchanged."""
+        return self.tracing and (context is None or context.sampled)
+
     def span(self, name: str, **kwargs):
         """Open a timed span (context manager); see :meth:`Tracer.span`."""
         return self.tracer.span(name, **kwargs)
@@ -143,13 +170,15 @@ class Observability:
     def scoped(self, **labels) -> "Observability":
         """A view sharing this instance's tracer, event log and sinks but
         stamping ``labels`` on every metric it records (per-directory and
-        per-simulation scopes)."""
-        return Observability(
-            sinks=self.sinks,
+        per-simulation scopes).  The sink list is the same object, so a
+        sink attached to either later reaches both."""
+        view = Observability(
             metrics=self.metrics.scope(**labels),
             tracer=self.tracer,
             events=self.events,
         )
+        view.sinks = self.sinks
+        return view
 
     # -- lifecycle -------------------------------------------------------
     def flush(self) -> None:
@@ -223,9 +252,8 @@ class _NullTracer:
     __slots__ = ()
     origin = ""
 
-    @contextmanager
     def activate(self, context):
-        yield
+        return NO_CONTEXT
 
     def current_context(self):
         return None
@@ -266,14 +294,17 @@ _NULL_SERIES = _NullSeries()
 
 
 class _NullObservability:
-    """The no-op default: ``enabled`` is False and every operation is free.
+    """The no-op default: ``enabled`` and ``tracing`` are False and every
+    operation is free.
 
-    Instrumented hot paths guard with ``if obs.enabled:`` so the disabled
-    cost is one attribute load; the methods below still exist so unguarded
-    call sites (cold paths, tests) stay safe.
+    Instrumented hot paths guard with ``if obs.enabled:`` (metrics) or
+    ``if obs.tracing:`` (spans) so the disabled cost is one attribute
+    load; the methods below still exist so unguarded call sites (cold
+    paths, tests) stay safe.
     """
 
     enabled = False
+    tracing = False
     sinks: tuple = ()
     timeseries = None
 
@@ -282,6 +313,9 @@ class _NullObservability:
         self._span = _NullSpan()
         self.events = _NullEventLog()
         self.tracer = _NullTracer()
+
+    def traces(self, context) -> bool:
+        return False
 
     @contextmanager
     def span(self, name: str, **kwargs):

@@ -26,10 +26,14 @@ from __future__ import annotations
 import itertools
 import time
 from collections.abc import Callable
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 
 TRACEPARENT_VERSION = "00"
+
+#: What :meth:`Tracer.activate` returns for ``None``: a reusable no-op
+#: context manager, so untraced queries pay no generator per activation.
+NO_CONTEXT = nullcontext()
 
 
 @dataclass(frozen=True)
@@ -258,7 +262,6 @@ class Tracer:
         """
         return TraceContext(trace_id=trace_id, span_id=f"{self.origin}c{next(self._ctx_seq)}")
 
-    @contextmanager
     def activate(self, context: TraceContext | None):
         """Make ``context`` the ambient trace context for the body.
 
@@ -267,8 +270,17 @@ class Tracer:
         up.  ``None`` is a no-op so call sites need no branching.
         """
         if context is None:
-            yield
-            return
+            return NO_CONTEXT
+        return self._activated(context)
+
+    @property
+    def sampled(self) -> bool:
+        """False while the innermost active context is unsampled (its
+        query is relayed, not recorded); True otherwise."""
+        return not self._context_stack or self._context_stack[-1].sampled
+
+    @contextmanager
+    def _activated(self, context: TraceContext):
         self._context_stack.append(context)
         try:
             yield

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Callable
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from repro.core.codes import MalformedCodeError, StaleCodesError
@@ -110,7 +109,8 @@ class PendingQuery:
     ``trace`` stores the handling ``query.handle`` span's serialized
     context so the ``query.respond`` event (fired from a forward-window
     timer, outside any span) and the :class:`QueryResponse` frame still
-    join the query's trace.
+    join the query's trace.  An untraced query stores the context its
+    frame arrived with, which the response then relays.
     """
 
     query_id: int
@@ -352,7 +352,7 @@ class DirectoryAgentBase(ProtocolAgent):
         if parsed is _UNCACHED:
             self.requests_parsed += 1
             obs = self.obs
-            if obs.enabled:
+            if obs.tracing:
                 with obs.span(
                     "query.parse", sim_time=self.runtime.now
                 ) as span:
@@ -454,7 +454,7 @@ class DirectoryAgentBase(ProtocolAgent):
         for peer_id in self.known_peers:
             if self.use_summaries and peer_id in verdicts:
                 admits = verdicts[peer_id]
-                if obs.enabled:
+                if obs.tracing:
                     obs.event("bloom.test", peer=peer_id, admitted=admits)
                 if not admits:
                     continue
@@ -618,98 +618,103 @@ class DirectoryAgentBase(ProtocolAgent):
     def _handle_client_query(
         self, client_id: int, query: QueryRequest, trace: str | None = None
     ) -> None:
+        node = self.node
+        network = node.network
         obs = self.obs
-        if not obs.enabled:
-            self._handle_client_query_impl(client_id, query, None)
-            return
-        with obs.span(
-            "query.handle",
-            trace_id=self._trace_id(self.node.node_id, query.query_id),
-            sim_time=self.runtime.now,
-            parent=TraceContext.from_traceparent(trace),
-            directory=self.node.node_id,
-            client=client_id,
-            query_id=query.query_id,
-        ) as span:
-            self._handle_client_query_impl(client_id, query, span)
-
-    def _handle_client_query_impl(self, client_id: int, query: QueryRequest, span) -> None:
-        self.node.network.record(
-            self.node.node_id, "query", f"#{query.query_id} from node {client_id}"
-        )
-        obs = self.obs
-        if obs.enabled:
-            obs.counter("dir.queries", node=self.node.node_id).inc()
-        parsed_before, decoded_before = self.requests_parsed, self.wire_decodes
-        parsed = self._request_from_wire(query.wire, query.document)
-        local = self._local_results(client_id, query.document, parsed)  # step 2
-        if span is not None:
-            span.attrs["cache"] = self._cache_verdict(parsed_before, decoded_before)
-            span.attrs["local_results"] = len(local)
-        pending = PendingQuery(query.query_id, client_id, results=list(local))
-        if span is not None:
-            # Remember the handling span so the deferred conclusion (a
-            # forward-window timer, outside any span) can rejoin the trace.
-            pending.trace = obs.tracer.current_traceparent()
-        self._pending[query.query_id] = pending
-        if not local and parsed is not None:
-            # Step 3: forward to peers whose summaries admit the request,
-            # preferring nearby, well-charged directories (§4).  The wire
-            # form is encoded once and shared by every forwarded copy, so
-            # peers skip the XML parse entirely.
-            wire = self.encode_request(parsed)
-            for peer_id in self._rank_forward_peers(parsed):
-                if self.node.unicast(
-                    peer_id,
-                    RemoteQuery(query.query_id, query.document, self.node.node_id, wire=wire),
-                ):
-                    pending.outstanding.add(peer_id)
-                    self.queries_forwarded += 1
-                    self._peer_forwarded[peer_id] = self._peer_forwarded.get(peer_id, 0) + 1
-                    if obs.enabled:
-                        obs.event("hop.forward", peer=peer_id)
-                    self.node.network.record(
-                        self.node.node_id, "forward", f"#{query.query_id} -> directory {peer_id}"
-                    )
-        if span is not None:
-            span.attrs["forwarded"] = len(pending.outstanding)
-        if pending.outstanding:
-            self.runtime.schedule(
-                self.forward_window, lambda: self._conclude(query.query_id)
+        context = TraceContext.from_traceparent(trace)
+        if obs.traces(context):
+            scope = obs.span(
+                "query.handle",
+                trace_id=self._trace_id(node.node_id, query.query_id),
+                sim_time=self.runtime.now,
+                parent=context,
+                directory=node.node_id,
+                client=client_id,
+                query_id=query.query_id,
             )
         else:
-            self._conclude(query.query_id)
+            # Untraced: build nothing, but relay an incoming context on
+            # every frame this query causes.
+            scope = obs.tracer.activate(context)
+        with scope as span:
+            if network.trace is not None:
+                network.record(node.node_id, "query", f"#{query.query_id} from node {client_id}")
+            if obs.enabled:
+                obs.counter("dir.queries", node=node.node_id).inc()
+            parsed_before, decoded_before = self.requests_parsed, self.wire_decodes
+            parsed = self._request_from_wire(query.wire, query.document)
+            local = self._local_results(client_id, query.document, parsed)  # step 2
+            # The deferred conclusion (a forward-window timer, outside any
+            # span) rejoins the trace through the handling span's context,
+            # or relays the incoming one.
+            pending = PendingQuery(
+                query.query_id,
+                client_id,
+                results=list(local),
+                trace=trace if span is None else obs.tracer.current_traceparent(),
+            )
+            if span is not None:
+                span.attrs["cache"] = self._cache_verdict(parsed_before, decoded_before)
+                span.attrs["local_results"] = len(local)
+            self._pending[query.query_id] = pending
+            if not local and parsed is not None:
+                # Step 3: forward to peers whose summaries admit the request,
+                # preferring nearby, well-charged directories (§4).  The wire
+                # form is encoded once and shared by every forwarded copy, so
+                # peers skip the XML parse entirely.
+                wire = self.encode_request(parsed)
+                for peer_id in self._rank_forward_peers(parsed):
+                    if node.unicast(
+                        peer_id,
+                        RemoteQuery(query.query_id, query.document, node.node_id, wire=wire),
+                    ):
+                        pending.outstanding.add(peer_id)
+                        self.queries_forwarded += 1
+                        self._peer_forwarded[peer_id] = self._peer_forwarded.get(peer_id, 0) + 1
+                        if obs.tracing:
+                            obs.event("hop.forward", peer=peer_id)
+                        if network.trace is not None:
+                            network.record(
+                                node.node_id, "forward", f"#{query.query_id} -> directory {peer_id}"
+                            )
+            if span is not None:
+                span.attrs["forwarded"] = len(pending.outstanding)
+            if pending.outstanding:
+                self.runtime.schedule(
+                    self.forward_window, lambda: self._conclude(query.query_id)
+                )
+            else:
+                self._conclude(query.query_id)
 
     def _handle_remote_query(self, query: RemoteQuery, trace: str | None = None) -> None:
         obs = self.obs
-        if not obs.enabled:
-            self._handle_remote_query_impl(query, None)
-            return
         network = self.node.network
-        # The RemoteResponse is sent inside the span so its frame carries
-        # this hop's context back to the origin directory.
-        with obs.span(
-            "hop.remote",
-            trace_id=self._trace_id(query.origin_directory, query.query_id),
-            sim_time=network.runtime.now,
-            parent=TraceContext.from_traceparent(trace),
-            directory=self.node.node_id,
-            origin=query.origin_directory,
-            hops=network.hop_count(query.origin_directory, self.node.node_id),
-        ) as span:
-            self._handle_remote_query_impl(query, span)
-
-    def _handle_remote_query_impl(self, query: RemoteQuery, span) -> None:
-        parsed_before, decoded_before = self.requests_parsed, self.wire_decodes
-        parsed = self._request_from_wire(query.wire, query.document)
-        results = self._local_results(query.origin_directory, query.document, parsed)  # step 4
-        if span is not None:
-            span.attrs["cache"] = self._cache_verdict(parsed_before, decoded_before)
-            span.attrs["results"] = len(results)
-            span.attrs["admitted"] = bool(results)
-        self.node.unicast(
-            query.origin_directory, RemoteResponse(query.query_id, tuple(results))
-        )  # step 5
+        context = TraceContext.from_traceparent(trace)
+        # The RemoteResponse is sent inside the scope so its frame carries
+        # this hop's context (or the relayed one) back to the origin.
+        if obs.traces(context):
+            scope = obs.span(
+                "hop.remote",
+                trace_id=self._trace_id(query.origin_directory, query.query_id),
+                sim_time=network.runtime.now,
+                parent=context,
+                directory=self.node.node_id,
+                origin=query.origin_directory,
+                hops=network.hop_count(query.origin_directory, self.node.node_id),
+            )
+        else:
+            scope = obs.tracer.activate(context)
+        with scope as span:
+            parsed_before, decoded_before = self.requests_parsed, self.wire_decodes
+            parsed = self._request_from_wire(query.wire, query.document)
+            results = self._local_results(query.origin_directory, query.document, parsed)  # step 4
+            if span is not None:
+                span.attrs["cache"] = self._cache_verdict(parsed_before, decoded_before)
+                span.attrs["results"] = len(results)
+                span.attrs["admitted"] = bool(results)
+            self.node.unicast(
+                query.origin_directory, RemoteResponse(query.query_id, tuple(results))
+            )  # step 5
 
     def _conclude(self, query_id: int) -> None:
         pending = self._pending.pop(query_id, None)
@@ -725,9 +730,9 @@ class DirectoryAgentBase(ProtocolAgent):
         ranked = sorted(set(pending.results), key=lambda row: (row[2], row[0]))
         self.queries_answered += 1
         obs = self.obs
-        context = None
-        if obs.enabled:
-            context = TraceContext.from_traceparent(pending.trace)
+        network = self.node.network
+        context = TraceContext.from_traceparent(pending.trace)
+        if obs.traces(context):
             obs.event(
                 "query.respond",
                 trace_id=self._trace_id(self.node.node_id, query_id),
@@ -737,10 +742,9 @@ class DirectoryAgentBase(ProtocolAgent):
                 results=len(ranked),
                 partial=partial,
             )
-        self.node.network.record(
-            self.node.node_id, "respond", f"#{query_id}: {len(ranked)} result(s)"
-        )
-        with obs.tracer.activate(context) if obs.enabled else nullcontext():
+        if network.trace is not None:
+            network.record(self.node.node_id, "respond", f"#{query_id}: {len(ranked)} result(s)")
+        with obs.tracer.activate(context):
             self.node.unicast(
                 pending.client_id, QueryResponse(query_id, tuple(ranked), partial=partial)
             )  # step 6
@@ -821,12 +825,13 @@ class DirectoryAgentBase(ProtocolAgent):
         elif isinstance(payload, RemoteQuery):
             self._handle_remote_query(payload, trace=envelope.trace)
         elif isinstance(payload, RemoteResponse):
-            if self.obs.enabled:
+            context = TraceContext.from_traceparent(envelope.trace)
+            if self.obs.traces(context):
                 self.obs.event(
                     "hop.response",
                     trace_id=self._trace_id(self.node.node_id, payload.query_id),
                     sim_time=self.runtime.now,
-                    parent=TraceContext.from_traceparent(envelope.trace),
+                    parent=context,
                     directory=self.node.node_id,
                     peer=envelope.source,
                     results=len(payload.results),
@@ -877,9 +882,10 @@ class ClientAgentBase(ProtocolAgent):
     discovery requests, recording results and simulated response times.
     """
 
-    #: When True (live loadgen), every query also records a ``client.query``
-    #: event — the root span of the distributed trace.  Off by default so
-    #: simulated trace signatures keep their historical span sequence.
+    #: When True (live loadgen), every traced query also records a
+    #: ``client.query`` event — the root span of the distributed trace.
+    #: Off by default so simulated trace signatures keep their historical
+    #: span sequence.
     trace_queries = False
 
     def __init__(self, directory_resolver: Callable[[], int | None]) -> None:
@@ -1018,7 +1024,7 @@ class ClientAgentBase(ProtocolAgent):
         self._issue_times[query_id] = self.runtime.now
         obs = self.obs
         context = None
-        if obs.enabled:
+        if obs.tracing:
             # Root the distributed trace at the client: the request frame
             # carries this context so the directory's query.handle span
             # parents onto it.  The trace id matches what the directory
@@ -1036,7 +1042,7 @@ class ClientAgentBase(ProtocolAgent):
                 context = root.context()
             if context is None:
                 context = obs.tracer.new_context(trace_id)
-        with obs.tracer.activate(context) if obs.enabled else nullcontext():
+        with obs.tracer.activate(context):
             sent = self.node.unicast(directory, QueryRequest(query_id, document))
         if not sent:
             del self._issue_times[query_id]

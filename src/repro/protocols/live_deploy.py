@@ -87,8 +87,9 @@ class DirectoryServer:
             metrics-only instance so the exporter always has substance.
         peers: extra fabric peers to dial (``{node_id: address}``) —
             how a second directory process joins the backbone.
-        collector: optional telemetry collector address; when set, every
-            span/event/metric this process records is shipped there.
+        collector: optional telemetry collector address; when set, its
+            sink turns tracing on, and every span/event/metric this
+            process records is shipped there.
         force_directory: promote immediately instead of waiting out the
             §4 election.  Required for any directory beyond the first:
             a node hearing the backbone's adverts considers the
@@ -224,8 +225,9 @@ class LoadGenerator:
         obs: live observability; defaults to a metrics-only instance
             (the latency histogram feeds the reported quantiles).
         collector: optional telemetry collector address; when set, the
-            client's spans (including the ``client.query`` trace roots)
-            ship there for cross-process stitching.
+            client traces its queries and its spans (including the
+            ``client.query`` trace roots) ship there for cross-process
+            stitching.
     """
 
     def __init__(

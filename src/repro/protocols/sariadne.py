@@ -177,7 +177,7 @@ class SAriadneDirectoryAgent(DirectoryAgentBase):
             MalformedCodeError: an embedded code does not parse.
         """
         obs = self.obs
-        if obs.enabled:
+        if obs.tracing:
             with obs.span("query.encode", sim_time=self.runtime.now) as span:
                 extra = parsed.resolve(self.directory.table)
                 span.attrs["annotated"] = bool(parsed.annotations)

@@ -12,6 +12,7 @@ from repro.obs import (
     MetricsRegistry,
     Observability,
     RingBufferSink,
+    TraceContext,
     Tracer,
 )
 from repro.obs.report import load_trace, render_trace_report, strip_timestamps
@@ -236,6 +237,37 @@ class TestObservabilityFacade:
         assert len(sink.spans) == 1
         assert obs.metrics.counter("dir.queries", node=5).value == 1
 
+    def test_scoped_view_sees_sinks_attached_later(self):
+        """A collector client attaches its sink after views exist; every
+        view must start tracing into it."""
+        obs = Observability()
+        node_obs = obs.scoped(node=5)
+        assert not node_obs.tracing
+        sink = RingBufferSink()
+        obs.sinks.append(sink)
+        assert node_obs.tracing
+        with node_obs.span("query.handle"):
+            pass
+        assert len(sink.spans) == 1
+
+    def test_tracing_needs_a_sink_and_a_sampled_context(self):
+        assert Observability().tracing is False
+        obs = Observability(sinks=[RingBufferSink()])
+        assert obs.tracing is True
+        unsampled = TraceContext("q0.1", "n1.c1", sampled=False)
+        sampled = TraceContext("q0.1", "n1.c1")
+        assert obs.traces(None) and obs.traces(sampled)
+        assert not obs.traces(unsampled)
+        assert not Observability().traces(None)
+        assert not Observability().traces(sampled)
+        with obs.tracer.activate(unsampled):
+            assert obs.tracing is False  # a relayed, unrecorded query
+            with obs.tracer.activate(sampled):
+                assert obs.tracing is True
+        assert obs.tracing is True
+        with pytest.raises(AttributeError):
+            obs.tracing = False  # derived from the sinks, never set
+
     def test_flush_pushes_snapshot_to_sinks(self):
         sink = RingBufferSink()
         obs = Observability(sinks=[sink])
@@ -273,6 +305,8 @@ class TestObservabilityFacade:
 class TestNullObservability:
     def test_disabled_and_free(self):
         assert NULL_OBS.enabled is False
+        assert NULL_OBS.tracing is False
+        assert NULL_OBS.traces(None) is False
         with NULL_OBS.span("anything", trace_id="t") as span:
             span.attrs["key"] = "value"  # writable, discarded
         NULL_OBS.event("e")

@@ -16,9 +16,13 @@ import os
 import pytest
 
 from repro.core.directory import SemanticDirectory
+from repro.network import live
 from repro.network.election import ElectionConfig
+from repro.obs import Observability, RingBufferSink, TraceContext
+from repro.protocols.base import QueryOutcome
 from repro.protocols.deployment import DeploymentConfig
 from repro.protocols.live_deploy import (
+    SERVE_NODE_ID,
     DirectoryServer,
     LoadGenerator,
     annotated_profile_doc,
@@ -206,3 +210,104 @@ def test_loadgen_times_out_without_server(tmp_path):
         await loadgen.close()
 
     asyncio.run(scenario())
+
+
+class TestSpansOnlyForReaders:
+    """A server builds spans and stamps trace contexts only when a sink
+    reads them; its metrics never depend on that."""
+
+    @pytest.fixture
+    def frames(self, monkeypatch):
+        """Every frame the fabrics of this process write, as JSON."""
+        written: list[dict] = []
+        encode = live.encode_frame
+
+        def recording(envelope):
+            frame = encode(envelope)
+            written.append(json.loads(frame[4:]))
+            return frame
+
+        monkeypatch.setattr(live, "encode_frame", recording)
+        return written
+
+    def test_default_server_builds_no_span_and_stamps_no_frame(self, tmp_path, frames):
+        config = fast_config()
+        address = f"unix:{os.path.join(str(tmp_path), 'serve.sock')}"
+
+        async def scenario():
+            server = DirectoryServer(config, listen=address)
+            await server.start()
+            await server.wait_elected(timeout=10.0)
+            loadgen = LoadGenerator(config, connect=address)
+            await loadgen.start()
+            summary = await loadgen.run(services=2, queries=3, settle=0.2)
+            await loadgen.close()
+            await server.close()
+            return server, summary
+
+        server, summary = asyncio.run(scenario())
+        assert summary["answered"] == 3
+        assert server.obs.enabled and not server.obs.tracing
+        kinds = {frame["kind"] for frame in frames}
+        assert {"QueryRequest", "QueryResponse"} <= kinds
+        assert not [frame for frame in frames if "trace" in frame]
+        assert server.obs.tracer.finished == 0
+        assert next(server.obs.tracer._seq) == 1  # no span was ever opened
+        counters = {
+            series["name"]: series["value"]
+            for series in server.obs.metrics.snapshot()
+            if series["labels"] == {"node": SERVE_NODE_ID} and series["type"] == "counter"
+        }
+        assert counters["dir.queries"] == 3
+        assert counters["net.messages"] >= 3
+
+    @pytest.mark.parametrize(
+        "sink, sampled",
+        [(True, False), (False, True)],
+        ids=["unsampled-frame-on-traced-server", "sampled-frame-on-untraced-server"],
+    )
+    def test_untraced_query_relays_its_context(self, tmp_path, frames, sink, sampled):
+        """An unsampled frame opens no span even where a sink is attached;
+        a server without a sink opens none for a sampled frame either.
+        Both answer with the incoming context unchanged."""
+        config = fast_config()
+        address = f"unix:{os.path.join(str(tmp_path), 'serve.sock')}"
+        ring = RingBufferSink()
+        context = TraceContext("q0.1", "n1.c1", sampled=sampled)
+
+        async def scenario():
+            obs = Observability(sinks=[ring] if sink else [])
+            server = DirectoryServer(config, listen=address, obs=obs)
+            await server.start()
+            await server.wait_elected(timeout=10.0)
+            loadgen = LoadGenerator(config, connect=address)
+            await loadgen.start()
+            await loadgen.wait_directory()
+            await loadgen.publish(1)
+            await asyncio.sleep(0.2)
+            document = annotated_request_doc(loadgen.workload, loadgen.table, 0)
+            with loadgen.obs.tracer.activate(context):
+                ticket = loadgen.client.query(document)
+            deadline = asyncio.get_event_loop().time() + 5.0
+            while ticket.outcome is QueryOutcome.PENDING:
+                assert asyncio.get_event_loop().time() < deadline
+                await asyncio.sleep(0.005)
+            await loadgen.close()
+            await server.close()
+            return server, ticket
+
+        server, ticket = asyncio.run(scenario())
+        assert ticket.outcome is QueryOutcome.ANSWERED
+        assert server.obs.tracing is sink
+        assert server.obs.tracer.finished == 0
+        assert next(server.obs.tracer._seq) == 1
+        assert not ring.spans
+        relayed = {
+            frame["kind"]: frame.get("trace")
+            for frame in frames
+            if frame["kind"] in ("QueryRequest", "QueryResponse")
+        }
+        assert relayed == {
+            "QueryRequest": context.to_traceparent(),
+            "QueryResponse": context.to_traceparent(),
+        }
