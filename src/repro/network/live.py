@@ -491,9 +491,16 @@ class LiveFabric:
     # ------------------------------------------------------------------
     # Structural Network surface (what agents touch)
     # ------------------------------------------------------------------
-    def record(self, actor: int, kind: str, detail: str = "") -> None:
-        """Record a trace event if tracing is enabled (no-op otherwise)."""
+    def record(self, actor: int, kind: str, detail: str = "", *args: object) -> None:
+        """Record a trace event if tracing is enabled (no-op otherwise).
+
+        With ``args``, ``detail`` is a ``%``-format applied to them only
+        when the event is recorded, so callers on hot paths build no
+        string while the trace is off.
+        """
         if self.trace is not None:
+            if args:
+                detail = detail % args
             self.trace.record(self.runtime.now, actor, kind, detail)
 
     def is_up(self, node_id: int) -> bool:
@@ -549,8 +556,7 @@ class LiveFabric:
         if link.full():
             self._dropped("overflow")
             return False
-        if self.trace is not None:
-            self.record(origin.node_id, "unicast", f"{type(payload).__name__} -> {dest}")
+        self.record(origin.node_id, "unicast", "%s -> %s", type(payload).__name__, dest)
         self.stats.unicasts += 1
         if self.obs.enabled:
             self.obs.counter("net.messages", node=origin.node_id).inc()
@@ -559,8 +565,7 @@ class LiveFabric:
 
     def flood(self, origin: LiveNode, payload: object, ttl: int) -> None:
         """Fan out to every live peer once (clique overlay — no relay)."""
-        if self.trace is not None:
-            self.record(origin.node_id, "flood", f"{type(payload).__name__} ttl={ttl}")
+        self.record(origin.node_id, "flood", "%s ttl=%s", type(payload).__name__, ttl)
         envelope = self._wrap(payload, dest=None, hops=0, ttl=ttl)
         self.stats.broadcasts += 1
         for _peer_id, link in sorted(self._links.items()):

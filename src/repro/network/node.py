@@ -586,9 +586,16 @@ class Network:
     def _delay(self, payload: object, hops: int = 1) -> float:
         return hops * (self.per_hop_latency + payload_size(payload) / self.bandwidth)
 
-    def record(self, actor: int, kind: str, detail: str = "") -> None:
-        """Record a trace event if tracing is enabled (no-op otherwise)."""
+    def record(self, actor: int, kind: str, detail: str = "", *args: object) -> None:
+        """Record a trace event if tracing is enabled (no-op otherwise).
+
+        With ``args``, ``detail`` is a ``%``-format applied to them only
+        when the event is recorded, so callers on hot paths build no
+        string while the trace is off.
+        """
         if self.trace is not None:
+            if args:
+                detail = detail % args
             self.trace.record(self.sim.now, actor, kind, detail)
 
     def flood(self, origin: NetNode, payload: object, ttl: int) -> None:
@@ -599,8 +606,7 @@ class Network:
         if origin.node_id in self.down:
             self.stats.drops_down += 1
             return
-        if self.trace is not None:
-            self.record(origin.node_id, "flood", f"{type(payload).__name__} ttl={ttl}")
+        self.record(origin.node_id, "flood", "%s ttl=%s", type(payload).__name__, ttl)
         envelope = Envelope(
             kind=type(payload).__name__,
             payload=payload,
@@ -684,8 +690,7 @@ class Network:
         if origin.node_id in self.down:
             self.stats.drops_down += 1
             return False
-        if self.trace is not None:
-            self.record(origin.node_id, "unicast", f"{type(payload).__name__} -> {dest}")
+        self.record(origin.node_id, "unicast", "%s -> %s", type(payload).__name__, dest)
         path = self.shortest_path(origin.node_id, dest)
         if path is None:
             self.stats.drops_unreachable += 1

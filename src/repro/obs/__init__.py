@@ -28,8 +28,8 @@ states:
   ``if obs.tracing:`` and are not built, and frames carry no trace
   context unless they relay one that arrived with the query;
 * traced, once a sink is attached (a ``--collector`` attaches one):
-  every query whose incoming context is absent or sampled builds its
-  span tree and stamps its context on the frames it causes.
+  every query builds its span tree and stamps its context on the
+  frames it causes.
 
 See ``docs/OBSERVABILITY.md`` for the span schema and metric names.
 """
@@ -107,17 +107,9 @@ class Observability:
     # -- tracing ---------------------------------------------------------
     @property
     def tracing(self) -> bool:
-        """Whether instrumented code builds spans: a sink is attached and
-        no unsampled trace context is active."""
-        return bool(self.sinks) and self.tracer.sampled
-
-    def traces(self, context: TraceContext | None) -> bool:
-        """Whether a query arriving with ``context`` (None: no context on
-        its frame) is traced here: this process is :attr:`tracing` and the
-        context is absent or sampled.  An untraced query builds no span;
-        its handler activates ``context`` so the frames it causes relay
-        it unchanged."""
-        return self.tracing and (context is None or context.sampled)
+        """Whether instrumented code builds spans: a sink is attached to
+        read them.  Derived from :attr:`sinks`; it cannot be set."""
+        return bool(self.sinks)
 
     def span(self, name: str, **kwargs):
         """Open a timed span (context manager); see :meth:`Tracer.span`."""
@@ -313,9 +305,6 @@ class _NullObservability:
         self._span = _NullSpan()
         self.events = _NullEventLog()
         self.tracer = _NullTracer()
-
-    def traces(self, context) -> bool:
-        return False
 
     @contextmanager
     def span(self, name: str, **kwargs):

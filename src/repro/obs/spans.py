@@ -273,12 +273,6 @@ class Tracer:
             return NO_CONTEXT
         return self._activated(context)
 
-    @property
-    def sampled(self) -> bool:
-        """False while the innermost active context is unsampled (its
-        query is relayed, not recorded); True otherwise."""
-        return not self._context_stack or self._context_stack[-1].sampled
-
     @contextmanager
     def _activated(self, context: TraceContext):
         self._context_stack.append(context)

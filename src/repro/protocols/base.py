@@ -622,7 +622,7 @@ class DirectoryAgentBase(ProtocolAgent):
         network = node.network
         obs = self.obs
         context = TraceContext.from_traceparent(trace)
-        if obs.traces(context):
+        if obs.tracing:
             scope = obs.span(
                 "query.handle",
                 trace_id=self._trace_id(node.node_id, query.query_id),
@@ -637,8 +637,7 @@ class DirectoryAgentBase(ProtocolAgent):
             # every frame this query causes.
             scope = obs.tracer.activate(context)
         with scope as span:
-            if network.trace is not None:
-                network.record(node.node_id, "query", f"#{query.query_id} from node {client_id}")
+            network.record(node.node_id, "query", "#%s from node %s", query.query_id, client_id)
             if obs.enabled:
                 obs.counter("dir.queries", node=node.node_id).inc()
             parsed_before, decoded_before = self.requests_parsed, self.wire_decodes
@@ -673,10 +672,9 @@ class DirectoryAgentBase(ProtocolAgent):
                         self._peer_forwarded[peer_id] = self._peer_forwarded.get(peer_id, 0) + 1
                         if obs.tracing:
                             obs.event("hop.forward", peer=peer_id)
-                        if network.trace is not None:
-                            network.record(
-                                node.node_id, "forward", f"#{query.query_id} -> directory {peer_id}"
-                            )
+                        network.record(
+                            node.node_id, "forward", "#%s -> directory %s", query.query_id, peer_id
+                        )
             if span is not None:
                 span.attrs["forwarded"] = len(pending.outstanding)
             if pending.outstanding:
@@ -692,7 +690,7 @@ class DirectoryAgentBase(ProtocolAgent):
         context = TraceContext.from_traceparent(trace)
         # The RemoteResponse is sent inside the scope so its frame carries
         # this hop's context (or the relayed one) back to the origin.
-        if obs.traces(context):
+        if obs.tracing:
             scope = obs.span(
                 "hop.remote",
                 trace_id=self._trace_id(query.origin_directory, query.query_id),
@@ -730,9 +728,8 @@ class DirectoryAgentBase(ProtocolAgent):
         ranked = sorted(set(pending.results), key=lambda row: (row[2], row[0]))
         self.queries_answered += 1
         obs = self.obs
-        network = self.node.network
         context = TraceContext.from_traceparent(pending.trace)
-        if obs.traces(context):
+        if obs.tracing:
             obs.event(
                 "query.respond",
                 trace_id=self._trace_id(self.node.node_id, query_id),
@@ -742,8 +739,9 @@ class DirectoryAgentBase(ProtocolAgent):
                 results=len(ranked),
                 partial=partial,
             )
-        if network.trace is not None:
-            network.record(self.node.node_id, "respond", f"#{query_id}: {len(ranked)} result(s)")
+        self.node.network.record(
+            self.node.node_id, "respond", "#%s: %s result(s)", query_id, len(ranked)
+        )
         with obs.tracer.activate(context):
             self.node.unicast(
                 pending.client_id, QueryResponse(query_id, tuple(ranked), partial=partial)
@@ -825,13 +823,12 @@ class DirectoryAgentBase(ProtocolAgent):
         elif isinstance(payload, RemoteQuery):
             self._handle_remote_query(payload, trace=envelope.trace)
         elif isinstance(payload, RemoteResponse):
-            context = TraceContext.from_traceparent(envelope.trace)
-            if self.obs.traces(context):
+            if self.obs.tracing:
                 self.obs.event(
                     "hop.response",
                     trace_id=self._trace_id(self.node.node_id, payload.query_id),
                     sim_time=self.runtime.now,
-                    parent=context,
+                    parent=TraceContext.from_traceparent(envelope.trace),
                     directory=self.node.node_id,
                     peer=envelope.source,
                     results=len(payload.results),

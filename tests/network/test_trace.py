@@ -4,6 +4,8 @@ import pytest
 
 from repro.core.codes import CodeTable
 from repro.network.election import ElectionConfig
+from repro.network.node import Network
+from repro.network.simulator import Simulator
 from repro.network.trace import EventTrace, TraceEvent
 from repro.ontology.registry import OntologyRegistry
 from repro.protocols.deployment import Deployment, DeploymentConfig
@@ -64,6 +66,20 @@ class TestEventTrace:
     def test_event_str(self):
         event = TraceEvent(time=2.25, actor=12, kind="query", detail="#5")
         assert "node  12" in str(event)
+
+
+class TestNetworkRecord:
+    def test_detail_is_formatted_only_while_recording(self):
+        class Unprintable:
+            def __str__(self):
+                raise AssertionError("formatted with the trace off")
+
+        network = Network(Simulator())
+        network.record(1, "query", "#%s from node %s", Unprintable(), 2)  # off: no-op
+        network.trace = EventTrace()
+        network.record(1, "query", "#%s from node %s", 7, 2)
+        network.record(1, "publish", "svc%1")  # no args: taken verbatim
+        assert [event.detail for event in network.trace.events] == ["#7 from node 2", "svc%1"]
 
 
 class TestDeploymentTracing:

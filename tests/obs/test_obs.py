@@ -12,7 +12,6 @@ from repro.obs import (
     MetricsRegistry,
     Observability,
     RingBufferSink,
-    TraceContext,
     Tracer,
 )
 from repro.obs.report import load_trace, render_trace_report, strip_timestamps
@@ -238,8 +237,8 @@ class TestObservabilityFacade:
         assert obs.metrics.counter("dir.queries", node=5).value == 1
 
     def test_scoped_view_sees_sinks_attached_later(self):
-        """A collector client attaches its sink after views exist; every
-        view must start tracing into it."""
+        """A sink appended to the parent after a view exists reaches the
+        view too: views share the sink list, as ``scoped`` promises."""
         obs = Observability()
         node_obs = obs.scoped(node=5)
         assert not node_obs.tracing
@@ -250,23 +249,14 @@ class TestObservabilityFacade:
             pass
         assert len(sink.spans) == 1
 
-    def test_tracing_needs_a_sink_and_a_sampled_context(self):
+    def test_tracing_follows_the_sinks(self):
         assert Observability().tracing is False
         obs = Observability(sinks=[RingBufferSink()])
         assert obs.tracing is True
-        unsampled = TraceContext("q0.1", "n1.c1", sampled=False)
-        sampled = TraceContext("q0.1", "n1.c1")
-        assert obs.traces(None) and obs.traces(sampled)
-        assert not obs.traces(unsampled)
-        assert not Observability().traces(None)
-        assert not Observability().traces(sampled)
-        with obs.tracer.activate(unsampled):
-            assert obs.tracing is False  # a relayed, unrecorded query
-            with obs.tracer.activate(sampled):
-                assert obs.tracing is True
-        assert obs.tracing is True
+        obs.sinks.clear()
+        assert obs.tracing is False
         with pytest.raises(AttributeError):
-            obs.tracing = False  # derived from the sinks, never set
+            obs.tracing = True  # derived from the sinks, never set
 
     def test_flush_pushes_snapshot_to_sinks(self):
         sink = RingBufferSink()
@@ -306,7 +296,6 @@ class TestNullObservability:
     def test_disabled_and_free(self):
         assert NULL_OBS.enabled is False
         assert NULL_OBS.tracing is False
-        assert NULL_OBS.traces(None) is False
         with NULL_OBS.span("anything", trace_id="t") as span:
             span.attrs["key"] = "value"  # writable, discarded
         NULL_OBS.event("e")
