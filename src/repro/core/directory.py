@@ -379,8 +379,6 @@ class SemanticDirectory:
 
     def _query(self, request: ServiceRequest, matcher: Matcher) -> list[DirectoryMatch]:
         obs = self._obs
-        if obs.enabled:
-            obs.counter("dir.queries").inc()
         results: list[DirectoryMatch] = []
         with self.timer.phase("match"):
             for capability in request.capabilities:

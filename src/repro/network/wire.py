@@ -5,30 +5,34 @@ dataclasses *are* the frame format — the same payloads the simulator
 passes by reference travel TCP/UDS as::
 
     ┌──────────────┬─────────────────────────────────────────────┐
-    │ length (u32, │ UTF-8 JSON object:                          │
-    │ big-endian)  │ {"kind", "payload", "source", "dest",       │
-    │              │  "msg_id", "ttl", "hops"[, "trace"]}        │
+    │ length (u32, │ UTF-8 JSON array:                           │
+    │ big-endian)  │ [kind, source, dest, msg_id, ttl, hops,     │
+    │              │  trace, *payload_fields]                    │
     └──────────────┴─────────────────────────────────────────────┘
+
+The body is positional: seven header slots, then the payload's fields in
+the order its dataclass declares them (``kind`` names the class, so the
+decoder knows that order and the arity).  No key names travel.
 
 ``trace`` is the optional W3C-traceparent-style context
 (:class:`~repro.obs.spans.TraceContext`) stamped by the sending fabric.
-It is present only when the send happens inside a traced query (a sink
-or collector is attached) or relays a context that arrived with the
-query; otherwise it is omitted entirely, so untraced frames are
-byte-identical to the previous format.
+It is set only when the send happens inside a traced query (a sink or
+collector is attached) or relays a context that arrived with the query;
+otherwise it is ``null``.
 
 JSON keeps the codec dependency-free and debuggable on the wire; the two
 payload field types JSON cannot express natively are tagged:
 
 * ``bytes`` (Bloom summary bitsets) → ``{"__b64__": "<base64>"}``
 * nested :class:`~repro.network.messages.EncodedRequest` →
-  ``{"__enc__": {...fields...}}``
+  ``{"__enc__": [protocol, codes_version, data]}`` (positional too)
 
 Every sequence field in :mod:`repro.network.messages` is a tuple, so
 decoding converts JSON arrays back to tuples recursively — a decoded
 payload is ``==`` to (and hashes like) the original dataclass, which is
 what makes the simulator-vs-live equivalence test able to compare result
-rows directly.
+rows directly.  Any body that is not a well-formed frame raises
+:class:`WireError`, and nothing else.
 """
 
 from __future__ import annotations
@@ -53,12 +57,27 @@ PAYLOAD_TYPES: dict[str, type] = {
     and cls is not Envelope
 }
 
+#: Field names of each registered payload class, in declaration order:
+#: the order its values take in a frame body.
+_FIELDS: dict[type, tuple[str, ...]] = {
+    cls: tuple(field.name for field in dataclasses.fields(cls))
+    for cls in PAYLOAD_TYPES.values()
+}
+
 #: Hard ceiling on a single frame (16 MiB).  A directory handoff of an
 #: entire million-service catalog is batched above this layer; anything
 #: larger than this in one frame is a corrupt or hostile length prefix.
 MAX_FRAME = 16 * 1024 * 1024
 
 _LENGTH = struct.Struct(">I")
+#: Header slots before the payload fields:
+#: kind, source, dest, msg_id, ttl, hops, trace.
+_HEADER = 7
+#: Field types JSON carries as they are.
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+#: Frames are built from fresh lists, so no container can contain itself.
+_ENCODER = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"), check_circular=False)
+_DECODER = json.JSONDecoder()
 
 
 class WireError(ValueError):
@@ -69,34 +88,40 @@ def _encode_value(value: object) -> object:
     """Lower one payload field into JSON-expressible form."""
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
+    if isinstance(value, (tuple, list)):
+        return [item if type(item) in _SCALARS else _encode_value(item) for item in value]
     if isinstance(value, (bytes, bytearray)):
         return {"__b64__": base64.b64encode(bytes(value)).decode("ascii")}
-    if isinstance(value, (tuple, list)):
-        return [_encode_value(item) for item in value]
     if isinstance(value, EncodedRequest):
-        return {
-            "__enc__": {
-                field.name: _encode_value(getattr(value, field.name))
-                for field in dataclasses.fields(value)
-            }
-        }
+        return {"__enc__": _encode_fields(value, _FIELDS[EncodedRequest])}
     raise WireError(f"field value {value!r} is not wire-encodable")
+
+
+def _encode_fields(obj: object, names: tuple[str, ...]) -> list:
+    """The values of ``obj``'s fields ``names``, in order, lowered."""
+    values = [getattr(obj, name) for name in names]
+    return [value if type(value) in _SCALARS else _encode_value(value) for value in values]
 
 
 def _decode_value(value: object) -> object:
     """Invert :func:`_encode_value` (arrays come back as tuples)."""
-    if isinstance(value, list):
-        return tuple(_decode_value(item) for item in value)
-    if isinstance(value, dict):
+    if type(value) is list:
+        return tuple([item if type(item) in _SCALARS else _decode_value(item) for item in value])
+    if type(value) is not dict:
+        return value
+    if len(value) == 1:
         if "__b64__" in value:
-            return base64.b64decode(value["__b64__"])
-        if "__enc__" in value:
-            fields = {
-                key: _decode_value(item) for key, item in value["__enc__"].items()
-            }
-            return EncodedRequest(**fields)
-        raise WireError(f"unknown tagged object {sorted(value)!r}")
-    return value
+            text = value["__b64__"]
+            if type(text) is str:
+                try:
+                    return base64.b64decode(text, validate=True)
+                except ValueError as exc:
+                    raise WireError(f"malformed __b64__ field: {exc}") from exc
+        elif "__enc__" in value:
+            fields = value["__enc__"]
+            if type(fields) is list and len(fields) == len(_FIELDS[EncodedRequest]):
+                return EncodedRequest(*[_decode_value(item) for item in fields])
+    raise WireError(f"malformed tagged object {value!r:.80}")
 
 
 def encode_frame(envelope: Envelope) -> bytes:
@@ -109,23 +134,23 @@ def encode_frame(envelope: Envelope) -> bytes:
     """
     payload = envelope.payload
     cls = type(payload)
-    if PAYLOAD_TYPES.get(cls.__name__) is not cls:
+    names = _FIELDS.get(cls)
+    if names is None:
         raise WireError(f"{cls.__name__} is not a registered wire payload")
-    body = {
-        "kind": cls.__name__,
-        "payload": {
-            field.name: _encode_value(getattr(payload, field.name))
-            for field in dataclasses.fields(payload)
-        },
-        "source": envelope.source,
-        "dest": envelope.dest,
-        "msg_id": envelope.msg_id,
-        "ttl": envelope.ttl,
-        "hops": envelope.hops,
-    }
-    if envelope.trace is not None:
-        body["trace"] = envelope.trace
-    data = json.dumps(body, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
+    body = [
+        cls.__name__,
+        envelope.source,
+        envelope.dest,
+        envelope.msg_id,
+        envelope.ttl,
+        envelope.hops,
+        envelope.trace,
+    ]
+    try:
+        body += _encode_fields(payload, names)
+        data = _ENCODER.encode(body).encode("utf-8")
+    except (TypeError, UnicodeEncodeError, RecursionError) as exc:
+        raise WireError(f"frame is not wire-encodable: {exc}") from exc
     if len(data) > MAX_FRAME:
         raise WireError(f"frame of {len(data)} bytes exceeds MAX_FRAME")
     return _LENGTH.pack(len(data)) + data
@@ -135,34 +160,37 @@ def decode_frame(data: bytes) -> Envelope:
     """Deserialize one frame *body* (without the length prefix).
 
     Raises:
-        WireError: on malformed JSON, unknown payload kinds, or payload
-            fields that do not match the dataclass signature.
+        WireError: on malformed JSON, a body that is not a header array,
+            header fields of the wrong type, unknown payload kinds,
+            payloads of the wrong arity, or malformed tagged fields.
     """
     try:
-        body = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        body = _DECODER.decode(data.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
         raise WireError(f"malformed frame: {exc}") from exc
-    if not isinstance(body, dict):
-        raise WireError("frame body is not an object")
+    if type(body) is not list or len(body) < _HEADER:
+        raise WireError("frame body is not a header array")
+    kind, source, dest, msg_id, ttl, hops, trace = body[:_HEADER]
+    cls = PAYLOAD_TYPES.get(kind) if type(kind) is str else None
+    if cls is None:
+        raise WireError(f"unknown payload kind {kind!r:.80}")
+    if not (
+        type(source) is int
+        and type(msg_id) is int
+        and type(ttl) is int
+        and type(hops) is int
+        and (dest is None or type(dest) is int)
+        and (trace is None or type(trace) is str)
+    ):
+        raise WireError(f"malformed {kind} frame header")
+    values = body[_HEADER:]
+    if len(values) != len(_FIELDS[cls]):
+        raise WireError(f"{kind} takes {len(_FIELDS[cls])} fields, got {len(values)}")
     try:
-        cls = PAYLOAD_TYPES[body["kind"]]
-        raw_fields = body["payload"]
-        fields = {key: _decode_value(value) for key, value in raw_fields.items()}
-        payload = cls(**fields)
-        return Envelope(
-            kind=body["kind"],
-            payload=payload,
-            source=body["source"],
-            dest=body["dest"],
-            msg_id=body["msg_id"],
-            ttl=body["ttl"],
-            hops=body["hops"],
-            trace=body.get("trace"),
-        )
-    except WireError:
-        raise
-    except (KeyError, TypeError) as exc:
-        raise WireError(f"malformed frame: {exc}") from exc
+        values = [value if type(value) in _SCALARS else _decode_value(value) for value in values]
+    except RecursionError as exc:
+        raise WireError("frame nests too deeply") from exc
+    return Envelope(kind, cls(*values), source, dest, msg_id, ttl, hops, trace)
 
 
 async def read_frame(reader) -> Envelope | None:

@@ -39,7 +39,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 
 from repro.obs.events import EventLog, LifecycleEvent
-from repro.obs.metrics import Counter, Histogram, MetricsRegistry, MetricsScope
+from repro.obs.metrics import Counter, Histogram, MetricsRegistry
 from repro.obs.sinks import JsonlSink, RingBufferSink
 from repro.obs.spans import NO_CONTEXT, Span, TraceContext, Tracer
 from repro.obs.timeseries import TimeSeriesRecorder
@@ -54,7 +54,6 @@ __all__ = [
     "Counter",
     "Histogram",
     "MetricsRegistry",
-    "MetricsScope",
     "LifecycleEvent",
     "EventLog",
     "TimeSeriesRecorder",
@@ -73,18 +72,15 @@ class Observability:
         sinks: objects with ``emit(span)`` (and optionally
             ``emit_metrics(snapshot)`` / ``close()``) receiving finished
             root spans.  Sinks appended to :attr:`sinks` later count too.
-        metrics: share an existing registry/scope instead of a fresh one.
-        tracer: share an existing tracer (used by :meth:`scoped` views so
-            spans from every scope land in one stream).
     """
 
     enabled = True
 
-    def __init__(self, sinks=(), metrics=None, tracer=None, events=None) -> None:
+    def __init__(self, sinks=()) -> None:
         self.sinks = list(sinks)
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.tracer = tracer if tracer is not None else Tracer(self._emit_span)
-        self.events = events if events is not None else EventLog(self._emit_event)
+        self.metrics = MetricsRegistry()
+        self.tracer = Tracer(self._emit_span)
+        self.events = EventLog(self._emit_event)
         self.timeseries: TimeSeriesRecorder | None = None
         self._closed = False
 
@@ -158,19 +154,6 @@ class Observability:
     def histogram(self, name: str, **labels) -> Histogram:
         """Shorthand for ``self.metrics.histogram(...)``."""
         return self.metrics.histogram(name, **labels)
-
-    def scoped(self, **labels) -> "Observability":
-        """A view sharing this instance's tracer, event log and sinks but
-        stamping ``labels`` on every metric it records (per-directory and
-        per-simulation scopes).  The sink list is the same object, so a
-        sink attached to either later reaches both."""
-        view = Observability(
-            metrics=self.metrics.scope(**labels),
-            tracer=self.tracer,
-            events=self.events,
-        )
-        view.sinks = self.sinks
-        return view
 
     # -- lifecycle -------------------------------------------------------
     def flush(self) -> None:
@@ -275,9 +258,6 @@ class _NullMetrics:
     def histogram(self, name: str, **labels) -> _NullSeries:
         return _NULL_SERIES
 
-    def scope(self, **labels) -> "_NullMetrics":
-        return self
-
     def snapshot(self) -> list:
         return []
 
@@ -324,9 +304,6 @@ class _NullObservability:
 
     def histogram(self, name: str, **labels) -> _NullSeries:
         return _NULL_SERIES
-
-    def scoped(self, **labels) -> "_NullObservability":
-        return self
 
     def flush(self) -> None:
         pass

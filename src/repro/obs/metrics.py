@@ -3,8 +3,7 @@
 A :class:`MetricsRegistry` keys every metric by ``(name, labels)``:
 ``counter("net.messages", node=3)`` and ``counter("net.messages", node=7)``
 are distinct series, which is how per-node and per-directory breakdowns
-fall out of one flat registry.  :meth:`MetricsRegistry.scope` binds a label
-set once (e.g. ``scope(node=3)``) so instrumented code does not repeat it.
+fall out of one flat registry.
 
 Everything is plain Python ints/floats — no dependencies, no locks (the
 simulation is single-threaded), no background collection.  Sinks read the
@@ -213,10 +212,6 @@ class MetricsRegistry:
             raise TypeError(f"{name}{labels} is a {type(series).__name__}, not a Histogram")
         return series
 
-    def scope(self, **labels) -> "MetricsScope":
-        """A view that stamps ``labels`` on every series it touches."""
-        return MetricsScope(self, labels)
-
     def snapshot(self) -> list[dict]:
         """All series as JSON-serializable records, deterministically
         ordered by (name, labels)."""
@@ -225,40 +220,3 @@ class MetricsRegistry:
     def __repr__(self) -> str:
         return f"MetricsRegistry({len(self._series)} series)"
 
-
-class MetricsScope:
-    """A label-binding view over a :class:`MetricsRegistry`.
-
-    Scopes nest (``registry.scope(sim=1).scope(node=3)``) and merely merge
-    label dicts — the underlying series live in the parent registry, so a
-    per-simulation snapshot still sees every per-directory series.
-
-    Label collisions resolve innermost-wins: a label passed at the call
-    site overrides the same label bound by the scope, and a nested scope
-    overrides its parent — ``scope(node=1).counter("x", node=2)`` is the
-    ``node=2`` series.  Instrumented code can therefore always pin the
-    label it knows best without worrying what the enclosing scope bound.
-    """
-
-    def __init__(self, registry: MetricsRegistry, labels: dict) -> None:
-        self._registry = registry
-        self._labels = dict(labels)
-
-    def counter(self, name: str, **labels) -> Counter:
-        """Scoped counter (bound labels + call labels)."""
-        return self._registry.counter(name, **{**self._labels, **labels})
-
-    def histogram(self, name: str, **labels) -> Histogram:
-        """Scoped histogram (bound labels + call labels)."""
-        return self._registry.histogram(name, **{**self._labels, **labels})
-
-    def scope(self, **labels) -> "MetricsScope":
-        """A nested scope with additional bound labels."""
-        return MetricsScope(self._registry, {**self._labels, **labels})
-
-    def snapshot(self) -> list[dict]:
-        """Snapshot of the *whole* underlying registry."""
-        return self._registry.snapshot()
-
-    def __repr__(self) -> str:
-        return f"MetricsScope({self._labels} over {self._registry!r})"

@@ -41,7 +41,7 @@ class TimeSeriesRecorder:
     """Per-window metric deltas over a cumulative registry.
 
     Args:
-        metrics: the registry (or scope) to snapshot.
+        metrics: the registry to snapshot.
         interval: simulated seconds between periodic snapshots.
         emit: callback receiving each finished window record (sink
             fan-out; :meth:`repro.obs.Observability.start_timeseries`

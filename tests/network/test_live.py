@@ -325,6 +325,10 @@ def _frame(payload, source: int = 5) -> bytes:
     return encode_frame(Envelope(type(payload).__name__, payload, source, 0, 1))
 
 
+def _body(body: bytes) -> bytes:
+    return struct.pack(">I", len(body)) + body
+
+
 def test_frames_split_and_batched_arrive_in_order(tmp_path):
     """Several frames in one read, and one frame spread over many reads,
     are all delivered, in send order."""
@@ -403,6 +407,8 @@ def test_bytes_sent_counts_framed_bytes(tmp_path):
 
 MALFORMED = {
     "undecodable_body": lambda: _frame(Hello(5)) + struct.pack(">I", 5) + b"{oops",
+    "wrong_arity": lambda: _frame(Hello(5)) + _body(b'["PublishService",5,0,1,0,0,null]'),
+    "bad_header_type": lambda: _frame(Hello(5)) + _body(b'["PublishService",5,0,1,"x",0,null,"d"]'),
     "oversized_prefix": lambda: _frame(Hello(5)) + struct.pack(">I", MAX_FRAME + 1),
     "first_frame_not_hello": lambda: _frame(PublishService("x")),
     "no_hello_in_time": lambda: b"",

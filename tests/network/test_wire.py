@@ -11,6 +11,8 @@ shipping unserializable.
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import struct
 
 import pytest
@@ -211,7 +213,7 @@ def test_none_fields_survive():
 
 
 def test_trace_context_rides_the_frame():
-    """A stamped traceparent survives; an unstamped frame omits the key."""
+    """A stamped traceparent survives; an unstamped frame carries none."""
     traced = m.Envelope(
         "QueryRequest",
         m.QueryRequest(1, "d"),
@@ -223,8 +225,52 @@ def test_trace_context_rides_the_frame():
     assert decode_frame(encode_frame(traced)[4:]).trace == "00-q0.1-n1.c1-01"
     untraced = m.Envelope("QueryRequest", m.QueryRequest(1, "d"), 0, 1, 9)
     frame = encode_frame(untraced)
-    assert b'"trace"' not in frame
     assert decode_frame(frame[4:]).trace is None
+    assert decode_frame(frame[4:]) == dataclasses.replace(traced, trace=None)
+
+
+#: Exact frames, prefix included.  A format change must edit these
+#: deliberately; the round-trip properties alone would accept any codec.
+GOLDEN_FRAMES = {
+    "QueryRequest": (
+        m.Envelope(
+            "QueryRequest",
+            m.QueryRequest(
+                5,
+                "<req/>",
+                m.EncodedRequest("sariadne", 7, (("urn:cap", ("urn:a", "urn:b")),)),
+            ),
+            source=3,
+            dest=0,
+            msg_id=42,
+            ttl=1,
+            hops=0,
+        ),
+        b'\x00\x00\x00f["QueryRequest",3,0,42,1,0,null,5,"<req/>",'
+        b'{"__enc__":["sariadne",7,[["urn:cap",["urn:a","urn:b"]]]]}]',
+    ),
+    "QueryResponse": (
+        m.Envelope(
+            "QueryResponse",
+            m.QueryResponse(5, (("urn:svc:1", "urn:cap", 2),)),
+            source=0,
+            dest=3,
+            msg_id=43,
+            ttl=1,
+            hops=0,
+            trace="00-q0.5-n0.c1-01",
+        ),
+        b'\x00\x00\x00S["QueryResponse",0,3,43,1,0,"00-q0.5-n0.c1-01",5,'
+        b'[["urn:svc:1","urn:cap",2]],false]',
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN_FRAMES))
+def test_golden_frame_bytes(kind):
+    envelope, frame = GOLDEN_FRAMES[kind]
+    assert encode_frame(envelope) == frame
+    assert decode_frame(frame[4:]) == envelope
 
 
 def test_decoded_sequences_are_tuples():
@@ -252,6 +298,86 @@ def test_malformed_frames_rejected():
         decode_frame(b'{"kind": "NoSuchPayload", "payload": {}}')
     with pytest.raises(WireError):
         decode_frame(b'{"kind": "Hello", "payload": {"wrong_field": 1}}')
+
+
+#: Bodies the decoder must refuse with ``WireError`` and nothing else.
+MALFORMED_BODIES = {
+    "object_body": b'{"kind": "Hello", "payload": [1]}',
+    "short_header": b'["Hello", 1, 0, 2, 0, 0]',
+    "unknown_kind": b'["NoSuchPayload", 1, 0, 2, 0, 0, null]',
+    "unhashable_kind": b'[["Hello"], 1, 0, 2, 0, 0, null, 1]',
+    "envelope_kind": b'["Envelope", 1, 0, 2, 0, 0, null, 1]',
+    "too_few_fields": b'["Hello", 1, 0, 2, 0, 0, null]',
+    "too_many_fields": b'["Hello", 1, 0, 2, 0, 0, null, 1, 2]',
+    "ttl_not_int": b'["Hello", 1, 0, 2, "x", 0, null, 1]',
+    "source_bool": b'["Hello", true, 0, 2, 0, 0, null, 1]',
+    "dest_float": b'["Hello", 1, 0.5, 2, 0, 0, null, 1]',
+    "trace_not_str": b'["Hello", 1, 0, 2, 0, 0, 7, 1]',
+    "enc_not_array": b'["QueryRequest", 1, 0, 2, 0, 0, null, 1, "d", {"__enc__": 5}]',
+    "enc_arity": b'["QueryRequest", 1, 0, 2, 0, 0, null, 1, "d", {"__enc__": ["a"]}]',
+    "b64_invalid": b'["SummaryExchange", 1, 0, 2, 0, 0, null, 1, {"__b64__": "@@@"}, 8, 1]',
+    "b64_not_str": b'["SummaryExchange", 1, 0, 2, 0, 0, null, 1, {"__b64__": 5}, 8, 1]',
+    "b64_extra_key": b'["SummaryExchange", 1, 0, 2, 0, 0, null, 1, {"__b64__": "", "x": 1}, 8, 1]',
+    "untagged_object": b'["PublishService", 1, 0, 2, 0, 0, null, {"other": 1}]',
+    "nested_too_deep": b"[" * 100_000,
+    "not_utf8": b"\xff\xfe",
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_BODIES))
+def test_malformed_positional_frames_raise_wire_error(case):
+    with pytest.raises(WireError):
+        decode_frame(MALFORMED_BODIES[case])
+
+
+#: Arbitrary JSON, with the tagged objects and header-shaped arrays mixed
+#: in so the property reaches past the first shape check.
+json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False)
+    | st.text(max_size=10)
+    | st.sampled_from(sorted(PAYLOAD_TYPES))
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda children: st.lists(children, max_size=5)
+    | st.dictionaries(st.text(max_size=8), children, max_size=3)
+    | st.dictionaries(st.sampled_from(["__b64__", "__enc__"]), children, min_size=1),
+    max_leaves=20,
+)
+header = st.tuples(
+    st.integers(),
+    st.none() | st.integers(),
+    st.integers(),
+    st.integers(),
+    st.integers(),
+    st.none() | st.text(max_size=5),
+).map(list)
+header_shaped = st.sampled_from(sorted(PAYLOAD_TYPES)).flatmap(
+    lambda kind: st.tuples(
+        st.just(kind),
+        header | header | st.lists(json_values, min_size=6, max_size=6),
+        st.lists(
+            json_scalars | st.lists(json_scalars, max_size=3) | json_values,
+            min_size=len(dataclasses.fields(PAYLOAD_TYPES[kind])),
+            max_size=len(dataclasses.fields(PAYLOAD_TYPES[kind])),
+        ),
+    )
+).map(lambda parts: [parts[0], *parts[1], *parts[2]])
+
+
+@given(body=json_values | header_shaped | header_shaped)
+@settings(max_examples=500, deadline=None)
+def test_any_json_body_decodes_or_raises_wire_error(body):
+    data = json.dumps(body).encode("utf-8")
+    try:
+        envelope = decode_frame(data)
+    except WireError:
+        return
+    assert isinstance(envelope, m.Envelope)
+    assert type(envelope.payload) is PAYLOAD_TYPES[envelope.kind]
 
 
 def test_oversized_frame_rejected():

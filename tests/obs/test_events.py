@@ -53,12 +53,12 @@ class TestFacade:
         run = load_run(path)
         assert run["events"][0]["node"] == 3
 
-    def test_scoped_views_share_one_event_log(self):
+    def test_events_from_every_node_share_one_sequence(self):
         sink = RingBufferSink()
         obs = Observability(sinks=[sink])
         obs.lifecycle("churn.join", node=1)
-        obs.scoped(node=2).lifecycle("churn.leave", node=2)
-        assert [event.seq for event in sink.events] == [1, 2]
+        obs.lifecycle("churn.leave", node=2)
+        assert [(event.node, event.seq) for event in sink.events] == [(1, 1), (2, 2)]
 
     def test_null_observability_lifecycle_is_free(self):
         assert NULL_OBS.lifecycle("anything", node=1, cause="x") is None

@@ -101,17 +101,6 @@ class TestMetrics:
         with pytest.raises(TypeError):
             registry.histogram("x")
 
-    def test_scope_binds_labels_and_shares_registry(self):
-        registry = MetricsRegistry()
-        node_scope = registry.scope(node=3)
-        node_scope.counter("dir.queries").inc()
-        nested = node_scope.scope(run=1)
-        nested.counter("dir.queries").inc()
-        assert registry.counter("dir.queries", node=3).value == 1
-        assert registry.counter("dir.queries", node=3, run=1).value == 1
-        # The scope's snapshot is the whole registry's.
-        assert nested.snapshot() == registry.snapshot()
-
     def test_snapshot_is_sorted_and_serializable(self):
         registry = MetricsRegistry()
         registry.counter("b").inc()
@@ -144,17 +133,6 @@ class TestMetrics:
             latency.quantile(0.0)
         with pytest.raises(ValueError):
             latency.quantile(1.5)
-
-    def test_scope_label_collisions_resolve_innermost_wins(self):
-        registry = MetricsRegistry()
-        scope = registry.scope(node=1)
-        # A call-site label overrides the scope's binding...
-        scope.counter("x", node=2).inc()
-        assert registry.counter("x", node=2).value == 1
-        assert registry.counter("x", node=1).value == 0
-        # ...and a nested scope overrides its parent.
-        scope.scope(node=3).counter("y").inc()
-        assert registry.counter("y", node=3).value == 1
 
 
 class TestSinks:
@@ -226,29 +204,6 @@ class TestSinks:
 
 
 class TestObservabilityFacade:
-    def test_scoped_shares_tracer_and_sinks(self):
-        sink = RingBufferSink()
-        obs = Observability(sinks=[sink])
-        node_obs = obs.scoped(node=5)
-        with node_obs.span("query.handle"):
-            pass
-        node_obs.counter("dir.queries").inc()
-        assert len(sink.spans) == 1
-        assert obs.metrics.counter("dir.queries", node=5).value == 1
-
-    def test_scoped_view_sees_sinks_attached_later(self):
-        """A sink appended to the parent after a view exists reaches the
-        view too: views share the sink list, as ``scoped`` promises."""
-        obs = Observability()
-        node_obs = obs.scoped(node=5)
-        assert not node_obs.tracing
-        sink = RingBufferSink()
-        obs.sinks.append(sink)
-        assert node_obs.tracing
-        with node_obs.span("query.handle"):
-            pass
-        assert len(sink.spans) == 1
-
     def test_tracing_follows_the_sinks(self):
         assert Observability().tracing is False
         obs = Observability(sinks=[RingBufferSink()])
@@ -301,7 +256,6 @@ class TestNullObservability:
         NULL_OBS.event("e")
         NULL_OBS.counter("c", node=1).inc()
         NULL_OBS.histogram("h").observe(2.0)
-        assert NULL_OBS.scoped(node=1) is NULL_OBS
         assert NULL_OBS.metrics.snapshot() == []
         NULL_OBS.flush()
         NULL_OBS.close()

@@ -16,9 +16,11 @@ import os
 import pytest
 
 from repro.core.directory import SemanticDirectory
-from repro.network import live
+from repro.network import live, wire
 from repro.network.election import ElectionConfig
+from repro.network.messages import Envelope
 from repro.obs import TraceContext
+from repro.obs.collector import TelemetryCollector
 from repro.protocols.base import QueryOutcome
 from repro.protocols.deployment import DeploymentConfig
 from repro.protocols.live_deploy import (
@@ -212,19 +214,43 @@ def test_loadgen_times_out_without_server(tmp_path):
     asyncio.run(scenario())
 
 
+def test_live_directory_counts_each_query_once(tmp_path):
+    """The collector's query rate sums every ``dir.queries`` series, so a
+    directory that answers N queries must hold N across them, not one
+    series from the agent plus another from its store."""
+    config = fast_config()
+    address = f"unix:{os.path.join(str(tmp_path), 'serve.sock')}"
+
+    async def scenario():
+        server = DirectoryServer(config, listen=address)
+        await server.start()
+        await server.wait_elected(timeout=10.0)
+        loadgen = LoadGenerator(config, connect=address)
+        await loadgen.start()
+        summary = await loadgen.run(services=2, queries=5, settle=0.2)
+        await loadgen.close()
+        await server.close()
+        return server, summary
+
+    server, summary = asyncio.run(scenario())
+    assert summary["answered"] == 5
+    snapshot = {"metrics": server.obs.metrics.snapshot()}
+    assert TelemetryCollector._query_count(snapshot) == 5
+
+
 class TestSpansOnlyForReaders:
     """A server builds spans and stamps trace contexts only when a sink
     reads them; its metrics never depend on that."""
 
     @pytest.fixture
     def frames(self, monkeypatch):
-        """Every frame the fabrics of this process write, as JSON."""
-        written: list[dict] = []
+        """Every frame the fabrics of this process write, decoded."""
+        written: list[Envelope] = []
         encode = live.encode_frame
 
         def recording(envelope):
             frame = encode(envelope)
-            written.append(json.loads(frame[4:]))
+            written.append(wire.decode_frame(frame[4:]))
             return frame
 
         monkeypatch.setattr(live, "encode_frame", recording)
@@ -248,9 +274,9 @@ class TestSpansOnlyForReaders:
         server, summary = asyncio.run(scenario())
         assert summary["answered"] == 3
         assert server.obs.enabled and not server.obs.tracing
-        kinds = {frame["kind"] for frame in frames}
+        kinds = {frame.kind for frame in frames}
         assert {"QueryRequest", "QueryResponse"} <= kinds
-        assert not [frame for frame in frames if "trace" in frame]
+        assert not [frame for frame in frames if frame.trace is not None]
         assert server.obs.tracer.finished == 0
         assert next(server.obs.tracer._seq) == 1  # no span was ever opened
         counters = {
@@ -295,9 +321,9 @@ class TestSpansOnlyForReaders:
         assert server.obs.tracer.finished == 0
         assert next(server.obs.tracer._seq) == 1
         relayed = {
-            frame["kind"]: frame.get("trace")
+            frame.kind: frame.trace
             for frame in frames
-            if frame["kind"] in ("QueryRequest", "QueryResponse")
+            if frame.kind in ("QueryRequest", "QueryResponse")
         }
         assert relayed == {
             "QueryRequest": context.to_traceparent(),
