@@ -4,16 +4,17 @@ A 36-node MANET with random-waypoint mobility: nodes elect directories on
 the fly, directories form a cooperating backbone exchanging Bloom-filter
 summaries, clients publish semantic advertisements to their vicinity
 directory, and queries are forwarded only to directories likely to hold a
-match.  The same scenario is then repeated with the syntactic Ariadne
-baseline to contrast recall under vocabulary mismatch.
+match.  The protocol steps are read back from the observability stack
+(docs/OBSERVABILITY.md).  The same scenario is then repeated with the
+syntactic Ariadne baseline to contrast recall under vocabulary mismatch.
 
 Run:  python examples/manet_discovery.py
 """
 
 from repro import CodeTable, OntologyRegistry, ServiceWorkload
 from repro.network.election import ElectionConfig
-from repro.network.trace import EventTrace
 from repro.network.topology import RandomWaypoint
+from repro.obs import Observability, RingBufferSink, install
 from repro.protocols.deployment import Deployment, DeploymentConfig
 from repro.services.wsdl import WsdlOperation, WsdlRequest
 from repro.services.xml_codec import profile_to_xml, request_to_xml, wsdl_to_xml
@@ -27,6 +28,22 @@ ELECTION = ElectionConfig(
     reply_window=1.0,
     election_hops=2,
 )
+#: The Fig. 6 query steps as the directories record them.
+QUERY_STEPS = ("query.handle", "hop.forward", "query.respond")
+
+
+def query_steps(sink: RingBufferSink) -> list[tuple[float, str, dict]]:
+    """Every query step as ``(sim_time, name, attrs)`` in time order; a
+    forward decision takes the time of the handling span it sits in."""
+    steps = []
+    for root in sink.spans:
+        time = root.sim_time
+        for span in root.walk():
+            if span.sim_time is not None:
+                time = span.sim_time
+            if span.name in QUERY_STEPS:
+                steps.append((time, span.name, span.attrs))
+    return sorted(steps, key=lambda step: step[0])
 
 
 def semantic_scenario(workload: ServiceWorkload, table: CodeTable) -> None:
@@ -38,8 +55,9 @@ def semantic_scenario(workload: ServiceWorkload, table: CodeTable) -> None:
         table=table,
         mobility=RandomWaypoint(min_speed=0.3, max_speed=1.2, pause_time=15.0),
     )
-    trace = EventTrace()
-    deployment.network.trace = trace
+    sink = RingBufferSink()
+    obs = Observability(sinks=[sink])
+    install(obs, deployment.network)
     count = deployment.run_until_directories(minimum=2)
     print(
         f"t={deployment.sim.now:5.1f}s elected {count} directories: "
@@ -82,15 +100,22 @@ def semantic_scenario(workload: ServiceWorkload, table: CodeTable) -> None:
         f" traffic {stats.broadcasts} bcast / {stats.unicasts} ucast"
         f" / {stats.bytes_sent // 1024} KiB"
     )
-    counts = trace.kinds()
-    print(
-        "protocol events: "
-        + ", ".join(f"{kind}={counts.get(kind, 0)}" for kind in ("promote", "publish", "query", "forward", "respond"))
-    )
+    steps = query_steps(sink)
+    counts = {
+        "election.promoted": sum(event.kind == "election.promoted" for event in sink.events),
+        "dir.publishes": sum(
+            series["value"]
+            for series in obs.metrics.snapshot()
+            if series["name"] == "dir.publishes"
+        ),
+    }
+    for name in QUERY_STEPS:
+        counts[name] = sum(step_name == name for _time, step_name, _attrs in steps)
+    print("protocol events: " + ", ".join(f"{name}={count}" for name, count in counts.items()))
     print("last protocol events:")
-    protocol_events = [e for e in trace.events if e.kind in ("query", "forward", "respond")]
-    for event in protocol_events[-4:]:
-        print(f"  {event}")
+    for time, name, attrs in steps[-4:]:
+        details = " ".join(f"{key}={value}" for key, value in attrs.items())
+        print(f"  [{time:9.3f}s] {name:<14} {details}")
     print()
 
 

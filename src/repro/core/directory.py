@@ -267,8 +267,6 @@ class SemanticDirectory:
                 graph.insert(capability, profile.uri, matcher)
                 self.summary.add_capability(capability)
         self._profiles[profile.uri] = profile
-        if self._obs.enabled:
-            self._obs.counter("dir.publishes").inc()
 
     def unpublish(self, service_uri: str) -> int:
         """Withdraw a service.

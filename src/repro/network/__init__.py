@@ -21,7 +21,6 @@ hardware; this package provides the simulated equivalent:
 
 from repro.network.simulator import Simulator
 from repro.network.topology import Bounds, Position, RandomWaypoint, StaticPlacement
-from repro.network.trace import EventTrace, TraceEvent
 from repro.network.node import Network, NetNode, ProtocolAgent
 from repro.network.election import ElectionAgent, ElectionConfig
 from repro.network.faults import (
@@ -42,8 +41,6 @@ __all__ = [
     "Network",
     "NetNode",
     "ProtocolAgent",
-    "EventTrace",
-    "TraceEvent",
     "ElectionAgent",
     "ElectionConfig",
     "FaultPlan",

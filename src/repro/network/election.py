@@ -164,7 +164,6 @@ class ElectionAgent(ProtocolAgent):
     def _promote(self, cause: str = "appointed") -> None:
         if self.is_directory:
             return
-        self.node.network.record(self.node.node_id, "promote", "became directory")
         if self.obs.enabled:
             self.obs.lifecycle(
                 "election.promoted",

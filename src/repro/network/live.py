@@ -378,9 +378,9 @@ class LiveFabric:
 
     Satisfies the slice of the :class:`~repro.network.node.Network`
     surface the agents actually touch — ``runtime``, ``obs``, ``nodes``,
-    ``rng``, ``stats``, ``record``, ``hop_count``, ``neighbors``,
-    ``is_up``, ``down`` — so directory, client, and election agents are
-    bit-for-bit the same code objects that run in the simulator.
+    ``rng``, ``stats``, ``hop_count``, ``neighbors``, ``is_up``,
+    ``down`` — so directory, client, and election agents are bit-for-bit
+    the same code objects that run in the simulator.
 
     Args:
         node_id: this process's node id (must differ from every peer).
@@ -403,7 +403,6 @@ class LiveFabric:
         self.runtime = LiveRuntime()
         self._loop = self.runtime._loop
         self.obs = NULL_OBS
-        self.trace = None
         self.faults = None
         self.rng = random.Random(seed)
         self.stats = TrafficStats()
@@ -491,18 +490,6 @@ class LiveFabric:
     # ------------------------------------------------------------------
     # Structural Network surface (what agents touch)
     # ------------------------------------------------------------------
-    def record(self, actor: int, kind: str, detail: str = "", *args: object) -> None:
-        """Record a trace event if tracing is enabled (no-op otherwise).
-
-        With ``args``, ``detail`` is a ``%``-format applied to them only
-        when the event is recorded, so callers on hot paths build no
-        string while the trace is off.
-        """
-        if self.trace is not None:
-            if args:
-                detail = detail % args
-            self.trace.record(self.runtime.now, actor, kind, detail)
-
     def is_up(self, node_id: int) -> bool:
         """True for the local node and every peer with a live link."""
         if node_id == self.node.node_id:
@@ -556,7 +543,6 @@ class LiveFabric:
         if link.full():
             self._dropped("overflow")
             return False
-        self.record(origin.node_id, "unicast", "%s -> %s", type(payload).__name__, dest)
         self.stats.unicasts += 1
         if self.obs.enabled:
             self.obs.counter("net.messages", node=origin.node_id).inc()
@@ -565,7 +551,6 @@ class LiveFabric:
 
     def flood(self, origin: LiveNode, payload: object, ttl: int) -> None:
         """Fan out to every live peer once (clique overlay — no relay)."""
-        self.record(origin.node_id, "flood", "%s ttl=%s", type(payload).__name__, ttl)
         envelope = self._wrap(payload, dest=None, hops=0, ttl=ttl)
         self.stats.broadcasts += 1
         for _peer_id, link in sorted(self._links.items()):

@@ -180,11 +180,8 @@ class Network:
         bandwidth: float = 250_000.0,
         mobility=None,
         mobility_interval: float = 1.0,
-        loss_rate: float = 0.0,
         seed: int = 0,
     ) -> None:
-        if not 0.0 <= loss_rate < 1.0:
-            raise ValueError(f"loss_rate must be in [0, 1), got {loss_rate}")
         self.sim = sim
         #: The structural :class:`~repro.network.runtime.Runtime` clock
         #: agents schedule against.  Here it *is* the simulator; the live
@@ -197,13 +194,9 @@ class Network:
         self.bandwidth = bandwidth
         self.mobility = mobility if mobility is not None else StaticPlacement()
         self.mobility_interval = mobility_interval
-        self.loss_rate = loss_rate
         #: Battery drained per KiB sent/received (radio dominates energy on
         #: small devices); 0 disables the energy model.
         self.battery_cost_per_kb = 0.0
-        #: Optional :class:`repro.network.trace.EventTrace` recording fabric
-        #: and protocol events.
-        self.trace = None
         #: Observability (tracing + metrics); ``repro.obs.install`` swaps
         #: in a live instance, the default null object costs one flag check.
         self.obs = NULL_OBS
@@ -586,18 +579,6 @@ class Network:
     def _delay(self, payload: object, hops: int = 1) -> float:
         return hops * (self.per_hop_latency + payload_size(payload) / self.bandwidth)
 
-    def record(self, actor: int, kind: str, detail: str = "", *args: object) -> None:
-        """Record a trace event if tracing is enabled (no-op otherwise).
-
-        With ``args``, ``detail`` is a ``%``-format applied to them only
-        when the event is recorded, so callers on hot paths build no
-        string while the trace is off.
-        """
-        if self.trace is not None:
-            if args:
-                detail = detail % args
-            self.trace.record(self.sim.now, actor, kind, detail)
-
     def flood(self, origin: NetNode, payload: object, ttl: int) -> None:
         """TTL-bounded flooding with per-node duplicate suppression.
 
@@ -606,7 +587,6 @@ class Network:
         if origin.node_id in self.down:
             self.stats.drops_down += 1
             return
-        self.record(origin.node_id, "flood", "%s ttl=%s", type(payload).__name__, ttl)
         envelope = Envelope(
             kind=type(payload).__name__,
             payload=payload,
@@ -635,9 +615,6 @@ class Network:
         faults = self.faults
         chaos = faults is not None and faults.has_message_chaos
         for neighbor in self.neighbors(sender.node_id):
-            if self.loss_rate and self.rng.random() < self.loss_rate:
-                self.stats.drops_lost += 1
-                continue
             link_delay = delay
             copies = 1
             if chaos:
@@ -690,7 +667,6 @@ class Network:
         if origin.node_id in self.down:
             self.stats.drops_down += 1
             return False
-        self.record(origin.node_id, "unicast", "%s -> %s", type(payload).__name__, dest)
         path = self.shortest_path(origin.node_id, dest)
         if path is None:
             self.stats.drops_unreachable += 1
@@ -712,12 +688,6 @@ class Network:
             self.obs.counter("net.messages", node=origin.node_id).inc()
             self.obs.counter("net.bytes", node=origin.node_id).inc(size * hops)
         self._drain(origin, size)
-        # Per-hop independent loss: the message dies if any hop loses it.
-        if self.loss_rate:
-            survive = (1.0 - self.loss_rate) ** hops
-            if self.rng.random() > survive:
-                self.stats.drops_lost += 1
-                return True  # sender cannot tell; the message is just gone
         # Stochastic chaos windows (fault injection): end-to-end fate.
         extra_delay = 0.0
         copies = 1
@@ -727,7 +697,7 @@ class Network:
             if fate is not None:
                 if fate.lost:
                     self.stats.drops_lost += 1
-                    return True  # as with radio loss: sender cannot tell
+                    return True  # sender cannot tell; the message is just gone
                 extra_delay = fate.extra_delay
                 copies += fate.duplicates
         # Per-hop latency: wired infrastructure hops are cheaper.

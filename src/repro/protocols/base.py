@@ -170,7 +170,6 @@ class DirectoryAgentBase(ProtocolAgent):
         self._pending: dict[int, PendingQuery] = {}
         self._summary_flush_scheduled = False
         self._documents_by_service: dict[str, str] = {}
-        self.queries_answered = 0
         self.queries_forwarded = 0
         self.publish_errors = 0
         self.stale_publishes = 0
@@ -555,7 +554,6 @@ class DirectoryAgentBase(ProtocolAgent):
             return
         if self.obs.enabled:
             self.obs.counter("dir.publishes", node=self.node.node_id).inc()
-        self.node.network.record(self.node.node_id, "publish", service_uri)
         self._documents_by_service[service_uri] = document
         self._mark_content_changed()
 
@@ -571,8 +569,9 @@ class DirectoryAgentBase(ProtocolAgent):
             for document in documents:
                 self._handle_publish(source, document)
             return
+        if self.obs.enabled:
+            self.obs.counter("dir.publishes", node=self.node.node_id).inc(len(service_uris))
         for service_uri, document in zip(service_uris, documents):
-            self.node.network.record(self.node.node_id, "publish", service_uri)
             self._documents_by_service[service_uri] = document
         self._mark_content_changed()
 
@@ -619,7 +618,6 @@ class DirectoryAgentBase(ProtocolAgent):
         self, client_id: int, query: QueryRequest, trace: str | None = None
     ) -> None:
         node = self.node
-        network = node.network
         obs = self.obs
         context = TraceContext.from_traceparent(trace)
         if obs.tracing:
@@ -637,7 +635,6 @@ class DirectoryAgentBase(ProtocolAgent):
             # every frame this query causes.
             scope = obs.tracer.activate(context)
         with scope as span:
-            network.record(node.node_id, "query", "#%s from node %s", query.query_id, client_id)
             if obs.enabled:
                 obs.counter("dir.queries", node=node.node_id).inc()
             parsed_before, decoded_before = self.requests_parsed, self.wire_decodes
@@ -672,9 +669,6 @@ class DirectoryAgentBase(ProtocolAgent):
                         self._peer_forwarded[peer_id] = self._peer_forwarded.get(peer_id, 0) + 1
                         if obs.tracing:
                             obs.event("hop.forward", peer=peer_id)
-                        network.record(
-                            node.node_id, "forward", "#%s -> directory %s", query.query_id, peer_id
-                        )
             if span is not None:
                 span.attrs["forwarded"] = len(pending.outstanding)
             if pending.outstanding:
@@ -726,7 +720,6 @@ class DirectoryAgentBase(ProtocolAgent):
         for peer_id in sorted(pending.outstanding):
             self._note_peer_silent(peer_id)
         ranked = sorted(set(pending.results), key=lambda row: (row[2], row[0]))
-        self.queries_answered += 1
         obs = self.obs
         context = TraceContext.from_traceparent(pending.trace)
         if obs.tracing:
@@ -739,9 +732,6 @@ class DirectoryAgentBase(ProtocolAgent):
                 results=len(ranked),
                 partial=partial,
             )
-        self.node.network.record(
-            self.node.node_id, "respond", "#%s: %s result(s)", query_id, len(ranked)
-        )
         with obs.tracer.activate(context):
             self.node.unicast(
                 pending.client_id, QueryResponse(query_id, tuple(ranked), partial=partial)

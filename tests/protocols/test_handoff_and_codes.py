@@ -5,10 +5,15 @@ import pytest
 
 from repro.core.codes import CodeTable
 from repro.network.election import ElectionConfig
-from repro.network.messages import PublishService
+from repro.network.messages import DirectoryHandoff, PublishService
+from repro.network.node import Network
+from repro.network.simulator import Simulator
+from repro.network.topology import Position
+from repro.obs import Observability, install
 from repro.ontology.generator import OntologyShape, generate_ontology
 from repro.ontology.registry import OntologyRegistry
 from repro.protocols.deployment import Deployment, DeploymentConfig
+from repro.protocols.sariadne import SAriadneDirectoryAgent
 from repro.services.xml_codec import profile_to_xml, request_to_xml
 
 FAST_ELECTION = ElectionConfig(
@@ -83,6 +88,39 @@ class TestHandoff:
         )
         with pytest.raises(KeyError):
             deployment.transfer_directory(non_directory, 0)
+
+
+class TestPublishCounting:
+    def test_each_accepted_document_counted_once(self, small_workload, table):
+        """N publications plus a handoff of M documents read N+M on one
+        ``dir.publishes`` series, labelled with the directory's node."""
+        publishes, handed_off = 3, 4
+        documents = [
+            profile_to_xml(
+                profile,
+                annotations=table.annotate(profile.provided),
+                codes_version=table.version,
+            )
+            for profile in small_workload.make_services(publishes + handed_off)
+        ]
+        sim = Simulator()
+        network = Network(sim, radio_range=200.0)
+        network.add_node(0, Position(0, 0)).add_agent(SAriadneDirectoryAgent(table))
+        sender = network.add_node(1, Position(50, 0))
+        obs = Observability()
+        install(obs, network)
+        for document in documents[:publishes]:
+            sender.unicast(0, PublishService(document))
+        sender.unicast(
+            0, DirectoryHandoff(documents=tuple(documents[publishes:]), from_directory=1)
+        )
+        sim.run()
+        series = [
+            (record["labels"], record["value"])
+            for record in obs.metrics.snapshot()
+            if record["name"] == "dir.publishes"
+        ]
+        assert series == [({"node": 0}, publishes + handed_off)]
 
 
 class TestCodeRefresh:

@@ -1,13 +1,16 @@
 """Failure injection: discovery over a lossy wireless medium.
 
 The §4 protocol must degrade gracefully when frames are lost: flooding is
-naturally redundant, unicast queries recover via client retries.
+naturally redundant, unicast queries recover via client retries.  Loss
+comes from a :class:`~repro.network.faults.FaultPlan` chaos window, the
+fabric's one loss model.
 """
 
 import pytest
 
 from repro.core.codes import CodeTable
 from repro.network.election import ElectionConfig
+from repro.network.faults import FaultPlan
 from repro.network.node import Network
 from repro.network.simulator import Simulator
 from repro.network.topology import Position
@@ -26,15 +29,9 @@ FAST_ELECTION = ElectionConfig(
 
 
 class TestLossModel:
-    def test_loss_rate_validated(self):
-        with pytest.raises(ValueError):
-            Network(Simulator(), loss_rate=1.0)
-        with pytest.raises(ValueError):
-            Network(Simulator(), loss_rate=-0.1)
-
     def test_lossless_network_drops_nothing(self):
         sim = Simulator()
-        network = Network(sim, radio_range=200.0, loss_rate=0.0)
+        network = Network(sim, radio_range=200.0)
         network.add_node(0, Position(0, 0))
         network.add_node(1, Position(50, 0))
         from repro.network.messages import PublishService
@@ -47,9 +44,10 @@ class TestLossModel:
 
     def test_lossy_unicast_drops_some(self):
         sim = Simulator()
-        network = Network(sim, radio_range=200.0, loss_rate=0.3, seed=5)
+        network = Network(sim, radio_range=200.0, seed=5)
         network.add_node(0, Position(0, 0))
         network.add_node(1, Position(50, 0))
+        network.install_fault_plan(FaultPlan(seed=5).chaos(start=0.0, loss=0.3))
         from repro.network.messages import PublishService
 
         for _ in range(200):
@@ -76,10 +74,11 @@ class TestLossModel:
                 received.add(self.nid)
 
         sim = Simulator()
-        network = Network(sim, radio_range=300.0, loss_rate=0.2, seed=1)
+        network = Network(sim, radio_range=300.0, seed=1)
         for i in range(10):
             node = network.add_node(i, Position(30.0 * i, 0))
             node.add_agent(Sink(i))
+        network.install_fault_plan(FaultPlan(seed=1).chaos(start=0.0, loss=0.2))
         network.start()
         network.nodes[0].broadcast(PublishService("<x/>"), ttl=5)
         sim.run()
@@ -105,9 +104,11 @@ class TestDiscoveryUnderLoss:
             codes_version=table.version,
         )
         deployment.publish_from(4, document, service_uri=profile.uri)
-        # Now make the medium lossy and query with retries.  Loss applies
-        # per hop, so multi-hop request/response legs compound it.
-        deployment.network.loss_rate = 0.15
+        # Now make the medium lossy and query with retries.  Each leg of
+        # the exchange (request, response) is lost independently.
+        deployment.install_fault_plan(
+            FaultPlan(seed=6).chaos(start=deployment.sim.now, loss=0.15)
+        )
         request = small_workload.matching_request(profile)
         request_document = request_to_xml(
             request,
