@@ -10,10 +10,11 @@ compared with an unclassified one.  Findings to reproduce in shape:
   well below — 2026 hardware and no 2006 XML stack);
 * results are reported without request parse time, as in the paper.
 
-A third series shows the flat directory answered by the packed engine
-(docs/PERFORMANCE.md): identical result sets, but candidate entries are
-found by interval-index stabs and postings instead of scanning every
-cached capability.  Each point is the median of 50 warm queries.
+A third series shows the flat directory on its default path
+(docs/PERFORMANCE.md): identical result sets, but the entries that can
+match are preselected from a concept index over subsumer maps and scored
+by the subsumer-map kernel instead of scanning every cached capability.
+Each point is the median of 50 warm queries.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ def test_flat_query_100(benchmark, populations):
 
 
 def test_flat_indexed_query_100(benchmark, populations):
-    """Flat directory answered by the packed engine — same results."""
+    """Flat directory on the concept index and kernel — same results."""
     _classified, flat, flat_indexed, request = populations
     hits = benchmark(flat_indexed[100].query, request)
     assert hits
@@ -82,8 +83,8 @@ def test_fig9_report(benchmark):
     indexed_times = [result.extras[f"flat_indexed_{size}"] for size in DIRECTORY_SIZES]
     optimized_times = [result.extras[f"optimized_{size}"] for size in DIRECTORY_SIZES]
     # Shape checks: flat degrades with size, classified stays flatter and
-    # is faster at the maximum size, and the packed engine beats the
-    # linear scan decisively at the maximum size.
+    # is faster at the maximum size, and the indexed flat directory beats
+    # the linear scan decisively at the maximum size.
     assert flat_times[-1] > flat_times[0]
     assert flat_times[-1] > optimized_times[-1]
     flat_growth = flat_times[-1] / max(flat_times[0], 1e-9)

@@ -1,7 +1,7 @@
 """Quality/latency Pareto frontier of every discovery backend.
 
 A labeled-relevance workload scores all six discovery backends — the
-semantic directory, flat baseline (packed engine and linear scan),
+semantic directory, flat baseline (concept index and linear scan),
 syntactic WSDL registry, annotated taxonomy, on-line matchmaker and GiST
 directory — on the same catalog and query set.  Ground truth comes
 from the scalar ``Matcher`` oracle (:mod:`repro.core.quality`): a service
@@ -14,7 +14,7 @@ recall — the axes of the Pareto plot in ``docs/MATCHMAKING.md``.
 
 Gates (hard asserts, also exported for ``obs regress``):
 
-* ``flat`` (interval index + packed engine) returns the exhaustive
+* ``flat`` (concept index + subsumer-map kernel) returns the exhaustive
   (``flat-linear``) ranking **bit for bit** on every query;
 * strict dominance of the ``semantic`` directory over the on-line
   matchmaker: equal-or-better recall at ≥ 2× lower p50 (measured on the
@@ -134,10 +134,10 @@ def test_matchmaker_pareto_report():
             ]
         )
 
-    # --- gate 1: packed engine == exhaustive ranking, bit for bit ------
+    # --- gate 1: concept index == exhaustive ranking, bit for bit -----
     for i, request in enumerate(requests):
         assert answers["flat"][i] == answers["flat-linear"][i], (
-            f"flat (packed engine) diverged from the exhaustive ranking on "
+            f"flat (concept index) diverged from the exhaustive ranking on "
             f"query {i} ({request.uri})"
         )
 

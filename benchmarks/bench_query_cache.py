@@ -1,4 +1,4 @@
-"""Query-engine microbenchmarks: distance cache, interval index, batching.
+"""Query-engine microbenchmarks: distance cache, concept index, batching.
 
 Workload: a directory caching 100 services answers a Zipf-distributed
 request stream (rank weight ``1/rank^1.1``) over 30 distinct requests —
@@ -14,7 +14,8 @@ the skew a pervasive environment produces when a few popular capabilities
   capability once and every map is fetched on first use, so the rates
   read low even when little work is left;
 * **flat linear vs flat indexed** — the Fig. 9 baseline scan against the
-  same directory accelerated by the sorted interval index;
+  same directory on its default path: entries preselected by a concept
+  index over subsumer maps and scored by the subsumer-map kernel;
 * **batch vs one-at-a-time** — ``query_batch`` against a Python-level
   query loop.
 
@@ -145,7 +146,7 @@ def test_query_cache_report(benchmark, directory_table, query_workload):
         [
             f"{SERVICES} services, {DISTINCT_REQUESTS} distinct requests, "
             f"Zipf(s={ZIPF_EXPONENT}) stream of {STREAM_LENGTH}",
-            f"interval-index speedup over linear flat scan: {linear_us / indexed_us:.1f}x",
+            f"concept-index speedup over linear flat scan: {linear_us / indexed_us:.1f}x",
         ]
     )
     save_report(

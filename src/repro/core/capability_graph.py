@@ -8,15 +8,17 @@ request against roots only and descends toward the smallest semantic
 distance, so answering a request needs a handful of semantic matches
 instead of one per cached capability (the Fig. 9 effect).
 
-Each graph also keeps a *concept index*: its vertices by the output and
-by the property concepts of their representatives.  A matcher that
+Each graph also keeps a :class:`ConceptIndex`: its vertices by the output
+and by the property concepts of their representatives.  A matcher that
 resolves codes from the table alone hands out each requested concept's
 subsumer map (:meth:`repro.core.matching.Matcher.subsumers`), and the
 vertices indexed under a concept of that map are exactly the ones whose
 representative can cover it.  Intersecting over the requested outputs and
 properties gives the vertices that can match at all, so a query or an
 insertion starts from the parentless candidates instead of every root and
-never runs a semantic match that is bound to fail.
+never runs a semantic match that is bound to fail.  The flat directory
+(:class:`repro.core.directory.FlatDirectory`) preselects its entries with
+the same class.
 
 The paper's insertion pseudocode is under-specified (its root/leaf loops do
 not pin down the final edge set); we implement the standard partial-order
@@ -85,17 +87,86 @@ class GraphMatch:
     distance: int
 
 
+class ConceptIndex:
+    """Items by the output and by the property concepts of their capabilities.
+
+    The one candidate preselection of both directory kinds: capability
+    graphs index their vertices' representatives, the flat directory its
+    entries.  ``Match`` needs every requested output (property) covered by
+    some provided output (property), so an item qualifies only if, for
+    each requested concept, its capability holds a concept of that
+    concept's subsumer map (:meth:`repro.core.matching.Matcher.subsumers`).
+    """
+
+    def __init__(self) -> None:
+        self._by_output: dict[str, set[int]] = {}
+        self._by_property: dict[str, set[int]] = {}
+
+    def add(self, item_id: int, capability: Capability) -> None:
+        """Index ``capability`` under ``item_id``."""
+        for concepts, index in self._fields(capability):
+            for concept in concepts:
+                index.setdefault(concept, set()).add(item_id)
+
+    def discard(self, item_id: int, capability: Capability) -> None:
+        """Drop ``item_id``, indexed earlier under ``capability``."""
+        for concepts, index in self._fields(capability):
+            for concept in concepts:
+                ids = index[concept]
+                ids.discard(item_id)
+                if not ids:
+                    del index[concept]
+
+    def candidates(self, requested: Capability, matcher: Matcher) -> set[int] | None:
+        """Items whose capability may match ``requested``; ``None`` when the
+        matcher gives no preselection.
+
+        The candidates are the intersection, over the requested outputs and
+        properties, of the items indexed under the concepts of each one's
+        subsumer map.  For a matcher resolving codes from the table this is
+        exact on outputs and properties (inputs are left to the matcher).
+        ``None`` when the request has neither outputs nor properties, or
+        the matcher hands out no maps (taxonomy matchers, embedded codes
+        shadowing the table).
+        """
+        result: set[int] | None = None
+        for concepts, index in self._fields(requested):
+            for concept in concepts:
+                subsumers = matcher.subsumers(concept)
+                if subsumers is None:
+                    return None
+                hits: set[int] = set()
+                if len(subsumers) <= len(index):
+                    for over in subsumers:
+                        ids = index.get(over)
+                        if ids is not None:
+                            hits.update(ids)
+                else:
+                    for over, ids in index.items():
+                        if over in subsumers:
+                            hits.update(ids)
+                result = hits if result is None else result & hits
+                if not result:
+                    return result
+        return result
+
+    def _fields(self, capability: Capability):
+        """``(concepts, index)`` for the output and the property concepts
+        of ``capability``."""
+        return (
+            (capability.outputs, self._by_output),
+            (capability.properties, self._by_property),
+        )
+
+
 class CapabilityDag:
     """One classified graph of capabilities (vertices + reduction edges)."""
 
     def __init__(self) -> None:
         self._nodes: dict[int, DagNode] = {}
         self._ids = itertools.count(1)
-        # Concept index over the vertices' representatives: concept →
-        # vertex ids, one map for output concepts and one for property
-        # concepts (see :meth:`_candidates`).
-        self._by_output: dict[str, set[int]] = {}
-        self._by_property: dict[str, set[int]] = {}
+        # Concept index over the vertices' representatives.
+        self._index = ConceptIndex()
         self.obs = NULL_OBS
 
     # ------------------------------------------------------------------
@@ -136,7 +207,7 @@ class CapabilityDag:
         """Classify one capability into the graph; returns its vertex id."""
         # Vertices that can subsume the newcomer (``Match(N, capability)``)
         # are exactly the query-direction candidates for it.
-        candidates = self._candidates(capability, matcher)
+        candidates = self._index.candidates(capability, matcher)
         uppers = self._minimal_subsumers(capability, matcher, candidates)
         equal = next(
             (
@@ -154,9 +225,7 @@ class CapabilityDag:
         node = DagNode(node_id=next(self._ids), representative=capability)
         node.entries.append(DagEntry(capability, service_uri))
         self._nodes[node.node_id] = node
-        for concepts, index in self._indexed_fields(capability):
-            for concept in concepts:
-                index.setdefault(concept, set()).add(node.node_id)
+        self._index.add(node.node_id, capability)
 
         # Remove reduction edges that the new vertex now interposes.
         for lower_id in lowers:
@@ -195,7 +264,7 @@ class CapabilityDag:
         Top search from the roots: subsumers are ancestor-closed (Match is
         transitive), so children of a non-matching vertex never match.
         ``candidates`` (when not ``None``) is a sound superset of the
-        matching vertices (:meth:`_candidates`); vertices outside it are
+        matching vertices (:meth:`ConceptIndex.candidates`); vertices outside it are
         rejected without a semantic match, and the search starts from the
         parentless ones among them.
         """
@@ -279,12 +348,7 @@ class CapabilityDag:
 
     def _delete_node(self, node_id: int) -> None:
         node = self._nodes.pop(node_id)
-        for concepts, index in self._indexed_fields(node.representative):
-            for concept in concepts:
-                ids = index[concept]
-                ids.discard(node_id)
-                if not ids:
-                    del index[concept]
+        self._index.discard(node_id, node.representative)
         for parent_id in node.parents:
             self._nodes[parent_id].children.discard(node_id)
         for child_id in node.children:
@@ -311,50 +375,6 @@ class CapabilityDag:
     # ------------------------------------------------------------------
     # Query (§3.3 "Answering User Requests")
     # ------------------------------------------------------------------
-    def _candidates(self, requested: Capability, matcher: Matcher) -> set[int] | None:
-        """Vertices whose representative may match ``requested``; ``None``
-        when the matcher gives no preselection.
-
-        ``Match`` needs every requested output (property) covered by some
-        provided output (property), so a vertex qualifies only if, for each
-        requested concept, its representative holds a concept of that
-        concept's subsumer map: the candidates are the intersection, over
-        the requested outputs and properties, of the vertices indexed under
-        the map's concepts.  For a matcher resolving codes from the table
-        this is exact on outputs and properties (inputs are left to the
-        matcher).  ``None`` when the request has neither outputs nor
-        properties, or the matcher hands out no maps (taxonomy matchers,
-        embedded codes shadowing the table).
-        """
-        result: set[int] | None = None
-        for concepts, index in self._indexed_fields(requested):
-            for concept in concepts:
-                subsumers = matcher.subsumers(concept)
-                if subsumers is None:
-                    return None
-                hits: set[int] = set()
-                if len(subsumers) <= len(index):
-                    for over in subsumers:
-                        ids = index.get(over)
-                        if ids is not None:
-                            hits.update(ids)
-                else:
-                    for over, ids in index.items():
-                        if over in subsumers:
-                            hits.update(ids)
-                result = hits if result is None else result & hits
-                if not result:
-                    return result
-        return result
-
-    def _indexed_fields(self, capability: Capability):
-        """``(concepts, concept index)`` for the output and the property
-        concepts of ``capability``."""
-        return (
-            (capability.outputs, self._by_output),
-            (capability.properties, self._by_property),
-        )
-
     def _root_ids(self, candidates: set[int] | None) -> list[int]:
         """The parentless vertices, among ``candidates`` when given, in
         insertion order (vertex ids grow with insertion)."""
@@ -377,16 +397,17 @@ class CapabilityDag:
         every vertex is evaluated.
 
         Both scans are narrowed to the candidate vertices
-        (:meth:`_candidates`) when the matcher provides subsumer maps: a
+        (:meth:`ConceptIndex.candidates`) when the matcher provides subsumer maps: a
         vertex outside the set cannot match (its distance would be
         ``None``), so skipping it changes no result — only the number of
         semantic matches evaluated.
         """
         obs = self.obs
+        index = self._index
         if not obs.tracing:
-            return self._search(requested, matcher, mode, self._candidates(requested, matcher))
+            return self._search(requested, matcher, mode, index.candidates(requested, matcher))
         with obs.span("dag.descend", mode=mode.name.lower(), vertices=len(self._nodes)) as span:
-            candidates = self._candidates(requested, matcher)
+            candidates = index.candidates(requested, matcher)
             results = self._search(requested, matcher, mode, candidates)
             span.attrs["candidates"] = len(self._nodes if candidates is None else candidates)
             span.attrs["hits"] = len(results)

@@ -6,9 +6,9 @@ concepts with the code table, classifies their capabilities into
 :class:`~repro.core.capability_graph.CapabilityDag` graphs *indexed by the
 ontology sets they use*, and answers requests with a handful of numeric
 matches.  :class:`FlatDirectory` is the unclassified baseline of Fig. 9:
-same code-based matching, but no capability graphs: by default the packed
-batch engine answers over every cached capability, and the paper's linear
-scan stays available (see ``docs/PERFORMANCE.md``).
+same code-based matching, but no capability graphs: by default the entries
+a concept index preselects are scored by the subsumer-map kernel, and the
+paper's linear scan stays available (see ``docs/PERFORMANCE.md``).
 
 The query engine shares two directory-owned structures across all the
 short-lived matchers it creates (``docs/PERFORMANCE.md`` quantifies both):
@@ -32,10 +32,9 @@ from collections.abc import Iterable
 from contextlib import nullcontext
 from dataclasses import dataclass
 
-from repro.core.capability_graph import CapabilityDag, GraphMatch, QueryMode
+from repro.core.capability_graph import CapabilityDag, ConceptIndex, GraphMatch, QueryMode
 from repro.core.codes import CodeTable, StaleCodesError
 from repro.core.matching import CodeMatcher, Matcher, MatcherStats
-from repro.core.packed import BatchMatchEngine
 from repro.core.summaries import DirectorySummary
 from repro.obs import NULL_OBS
 from repro.services.profile import Capability, ServiceProfile, ServiceRequest, ontology_of
@@ -490,18 +489,18 @@ class FlatDirectory:
     """Fig. 9's unclassified baseline: code-based matching over a flat list.
 
     Same parsing and encoded matching as :class:`SemanticDirectory`, but no
-    capability graphs: every cached capability is matched per request.
+    capability graphs: the entries are one flat list.
 
     Args:
         table: code table snapshotting the ontologies in force.
-        use_interval_index: answer queries with the packed batch engine
-            (:class:`~repro.core.packed.BatchMatchEngine`): each requested
-            concept's subsumers come from one interval-index stab, a
-            postings intersection prunes the entries, and survivors are
-            ranked by segmented sums instead of per-entry scalar matching.
-            Results are identical to the scalar path (property-tested).
-            The Fig. 9 "flat" baseline disables this to keep the paper's
-            linear scan, one scalar match per cached capability.
+        use_interval_index: preselect the entries that can match with a
+            :class:`~repro.core.capability_graph.ConceptIndex` (the one the
+            capability graphs keep) and score them with the subsumer-map
+            kernel of :class:`~repro.core.matching.CodeMatcher` over a
+            directory-owned distance cache.  Results are identical to the
+            linear scan (property-tested).  The Fig. 9 "flat" baseline
+            disables this to keep the paper's linear scan, one scalar match
+            per cached capability.
     """
 
     def __init__(self, table: CodeTable, use_interval_index: bool = True) -> None:
@@ -511,12 +510,8 @@ class FlatDirectory:
         self._by_service: dict[str, list[int]] = {}
         self._ids = itertools.count(1)
         self._profiles: dict[str, ServiceProfile] = {}
-        #: Content epoch: bumped on every publish/unpublish so epoch-keyed
-        #: caches (the packed engine tables) know when to rebuild — the
-        #: same coherence scheme as the version-keyed distance caches.
-        self._epoch = 0
-        self._engine: BatchMatchEngine | None = None
-        self._engine_key: tuple | None = None
+        self._index = ConceptIndex()
+        self.distance_cache = DistanceCache()
         #: The observability sink for this directory (NULL_OBS when off).
         self.obs = NULL_OBS
         self.timer = PhaseTimer()
@@ -543,11 +538,11 @@ class FlatDirectory:
         if profile.uri in self._profiles:
             self.unpublish(profile.uri)
         self._profiles[profile.uri] = profile
-        self._epoch += 1
         entry_ids = self._by_service.setdefault(profile.uri, [])
         for capability in profile.provided:
             entry_id = next(self._ids)
             self._entries[entry_id] = (capability, profile.uri)
+            self._index.add(entry_id, capability)
             entry_ids.append(entry_id)
 
     def publish_batch(self, profiles: Iterable[ServiceProfile]) -> int:
@@ -565,18 +560,12 @@ class FlatDirectory:
         self.publish(profile)
         return profile
 
-    def _lookup(self, concept: str):
-        if concept in self.table:
-            return self.table.code(concept)
-        return None
-
     def unpublish(self, service_uri: str) -> int:
         """Withdraw a service."""
         entry_ids = self._by_service.pop(service_uri, [])
-        if entry_ids:
-            self._epoch += 1
         for entry_id in entry_ids:
-            del self._entries[entry_id]
+            capability, _uri = self._entries.pop(entry_id)
+            self._index.discard(entry_id, capability)
         self._profiles.pop(service_uri, None)
         return len(entry_ids)
 
@@ -585,59 +574,37 @@ class FlatDirectory:
         return self.query_batch((request,))[0]
 
     def query_batch(self, requests: Iterable[ServiceRequest]) -> list[list[DirectoryMatch]]:
-        """Answer many requests (one matcher on the linear scan);
-        per-request results."""
+        """Answer many requests with one matcher; per-request results."""
         if self.use_interval_index:
-            return [self._query_batched(request) for request in requests]
-        matcher = CodeMatcher(table=self.table, stats=self.stats)
-        return [self._query_linear(request, matcher) for request in requests]
+            cache = self.distance_cache
+            # Cached maps are pure functions of the table snapshot (§3.2),
+            # as in :meth:`SemanticDirectory._matcher`.
+            cache.ensure_version((id(self.table), self.table.version))
+            matcher = CodeMatcher(
+                table=self.table, cache=cache, stats=self.stats, share_compiled=True
+            )
+        else:
+            matcher = CodeMatcher(table=self.table, stats=self.stats)
+        return [self._query(request, matcher) for request in requests]
 
-    def _batch_engine(self) -> BatchMatchEngine:
-        """The packed engine for the current content; rebuilt lazily when
-        the content epoch or the code-table version moves (the same
-        coherence rule version-keyed distance caches follow)."""
-        key = (self._epoch, id(self.table), self.table.version)
-        if self._engine is None or self._engine_key != key:
-            entries = {eid: cap for eid, (cap, _uri) in self._entries.items()}
-            self._engine = BatchMatchEngine(entries, self._lookup)
-            self._engine_key = key
-        return self._engine
-
-    def _query_linear(self, request: ServiceRequest, matcher: CodeMatcher) -> list[DirectoryMatch]:
-        """Answer by the Fig. 9 linear scan with the scalar matcher."""
+    def _query(self, request: ServiceRequest, matcher: CodeMatcher) -> list[DirectoryMatch]:
+        """Score the candidate entries of each requested capability: the
+        concept index's preselection, or every entry on the linear scan."""
+        entries = self._entries
         results: list[DirectoryMatch] = []
         with self.timer.phase("match"):
             for requested in request.capabilities:
-                ordered = list(self._entries)
-                provided = [self._entries[entry_id][0] for entry_id in ordered]
-                distances = matcher.semantic_distance_many(provided, requested)
+                candidates = (
+                    self._index.candidates(requested, matcher)
+                    if self.use_interval_index
+                    else None
+                )
                 hits = []
-                for entry_id, capability, distance in zip(ordered, provided, distances):
+                for entry_id in entries if candidates is None else sorted(candidates):
+                    capability, service_uri = entries[entry_id]
+                    distance = matcher.semantic_distance(capability, requested)
                     if distance is not None:
-                        service_uri = self._entries[entry_id][1]
                         hits.append(DirectoryMatch(requested, capability, service_uri, distance))
-                hits.sort(key=lambda m: (m.distance, m.service_uri, m.capability.uri))
-                results.extend(hits)
-        return results
-
-    def _query_batched(self, request: ServiceRequest) -> list[DirectoryMatch]:
-        """Answer via the packed batch engine (identical results to the
-        scalar path; only the evaluation strategy changes)."""
-        results: list[DirectoryMatch] = []
-        obs = self.obs
-        with self.timer.phase("match"):
-            engine = self._batch_engine()
-            for requested in request.capabilities:
-                pairs, qstats = engine.match_capability(requested, self._lookup)
-                self.stats.capability_matches += qstats.evaluated
-                if obs.enabled:
-                    obs.counter("match.batch_queries").inc()
-                    obs.histogram("match.batch_size").observe(qstats.batch_size)
-                    obs.counter("match.candidates_pruned").inc(qstats.pruned)
-                hits = []
-                for entry_id, distance in pairs:
-                    capability, service_uri = self._entries[entry_id]
-                    hits.append(DirectoryMatch(requested, capability, service_uri, distance))
                 hits.sort(key=lambda m: (m.distance, m.service_uri, m.capability.uri))
                 results.extend(hits)
         return results
@@ -653,7 +620,7 @@ class FlatDirectory:
         """Structured backend summary (the normalized ``describe`` schema:
         ``kind``/``services``/``capability_count``/``index``)."""
         index = (
-            "interval-indexed, packed engine"
+            "concept-indexed, subsumer-map kernel"
             if self.use_interval_index
             else "linear-scan, scalar matcher"
         )

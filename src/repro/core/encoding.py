@@ -132,10 +132,6 @@ class Interval:
         """True iff ``other`` lies entirely within this interval."""
         return self.lo <= other.lo and other.hi <= self.hi
 
-    def contains_point(self, x: Number) -> bool:
-        """True iff ``lo <= x < hi``."""
-        return self.lo <= x < self.hi
-
     def overlaps(self, other: "Interval") -> bool:
         """True iff the two intervals share any point."""
         return self.lo < other.hi and other.lo < self.hi
@@ -163,32 +159,6 @@ def merge_intervals(intervals: list[Interval]) -> tuple[Interval, ...]:
         else:
             merged.append(interval)
     return tuple(merged)
-
-
-def pack_union(union: tuple[Interval, ...]) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Columnar ``(los, his)`` form of a merged union.
-
-    The packed form is what the batch engine compares against: testing a
-    target against every member is two comparisons per column row instead
-    of per-member :meth:`Interval.contains` calls.
-    """
-    return tuple(float(iv.lo) for iv in union), tuple(float(iv.hi) for iv in union)
-
-
-def union_contains_batch(
-    union: tuple[Interval, ...], targets: list[Interval]
-) -> list[bool]:
-    """Containment of each target in one member of a merged union.
-
-    One pass over the packed columns serves the whole target batch;
-    results equal per-target :func:`union_contains` (property-tested).
-    """
-    los, his = pack_union(union)
-    results: list[bool] = []
-    for target in targets:
-        lo, hi = float(target.lo), float(target.hi)
-        results.append(any(clo <= lo and hi <= chi for clo, chi in zip(los, his)))
-    return results
 
 
 def union_contains(union: tuple[Interval, ...], target: Interval) -> bool:
@@ -337,11 +307,6 @@ class EncodedConcept:
     def subsumes(self, other: "EncodedConcept") -> bool:
         """Numeric subsumption: containment of the other's tree interval."""
         return union_contains(self.code, other.tree_interval)
-
-    def subsumes_batch(self, others: list["EncodedConcept"]) -> list[bool]:
-        """Numeric subsumption against many concepts in one packed pass
-        (float-mode codes; exact-mode callers use :meth:`subsumes`)."""
-        return union_contains_batch(self.code, [o.tree_interval for o in others])
 
 
 def first_level_capacity(p: int = DEFAULT_P, k: int = DEFAULT_K, limit: int = 1_000_000) -> int:

@@ -23,9 +23,9 @@ can only satisfy ``Match(provided, requested)`` if, for *every* requested
 output, some provided output subsumes it (and likewise for properties), so
 the candidate set is the intersection of per-concept stab results — a
 sound preselection whose survivors are then confirmed by the real matcher.
-No directory keeps one: the packed engine (:mod:`repro.core.packed`)
-stabs an :class:`IntervalIndex` per requested concept, and the capability
-graphs' candidate sets are tested against a :class:`CandidateIndex`.
+No directory keeps one: both directory kinds preselect with a
+:class:`~repro.core.capability_graph.ConceptIndex` over subsumer maps,
+and its candidate sets are tested against a :class:`CandidateIndex`.
 The property tests in ``tests/core/test_interval_index.py`` prove
 stabbing identical to the linear scan.
 """

@@ -42,7 +42,6 @@ Two interchangeable distance oracles implement ``d``:
 from __future__ import annotations
 
 import enum
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 from repro.core.codes import CodeTable, ConceptCode
@@ -148,18 +147,6 @@ class Matcher:
         """``SemanticDistance(provided, requested)``; ``None`` if no match."""
         outcome = self.match_outcome(provided, requested)
         return outcome.distance if outcome.matched else None
-
-    def semantic_distance_many(
-        self, provided: Iterable[Capability], requested: Capability
-    ) -> list[int | None]:
-        """``SemanticDistance`` of each provided capability, in order.
-
-        The reference implementation loops :meth:`semantic_distance`; it is
-        the scalar oracle the packed batch engine
-        (:class:`repro.core.packed.BatchMatchEngine`) must agree with, and
-        the seam batch-capable callers program against.
-        """
-        return [self.semantic_distance(capability, requested) for capability in provided]
 
     def match_outcome(self, provided: Capability, requested: Capability) -> "MatchOutcome":
         """Full result: match flag, distance, per-concept pairings."""
@@ -331,9 +318,9 @@ class CodeMatcher(Matcher):
         """The code this matcher uses for ``concept`` (embedded codes
         shadow the table), or ``None`` when neither source covers it.
 
-        Public because the flat directory's interval index
-        (:mod:`repro.core.interval_index`) must preselect with exactly the
-        resolution the confirming matcher will use.
+        Public because the interval-index test oracle
+        (:class:`repro.core.interval_index.CandidateIndex`) must preselect
+        with exactly the resolution the confirming matcher will use.
         """
         code = self._extra.get(concept)
         if code is not None:

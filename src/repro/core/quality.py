@@ -3,7 +3,7 @@
 Comparing backends on quality as well as latency needs labeled
 relevance.  This module derives the labels from the system's own ground
 truth: the scalar :class:`~repro.core.matching.Matcher` oracle — the §2.3
-reference every engine (interval index, packed batch, gist) is
+reference every engine (concept index, subsumer-map kernel, gist) is
 already property-tested against.  A service is *relevant* to a request
 when any of its provided capabilities matches any requested capability
 under the oracle; a backend's answer is scored service-level against that

@@ -292,9 +292,9 @@ def fig9_match_request(
     for size in sizes:
         classified = SemanticDirectory(table)
         # The paper's non-optimized baseline is a genuine linear scan; the
-        # third column shows the same flat directory answered by the packed
-        # engine (docs/PERFORMANCE.md) — identical results, fewer semantic
-        # matches.
+        # third column shows the same flat directory on its default path, a
+        # concept index and the subsumer-map kernel (docs/PERFORMANCE.md):
+        # identical results, fewer semantic matches.
         flat = FlatDirectory(table, use_interval_index=False)
         flat_indexed = FlatDirectory(table)
         profiles = [workload.make_service(index) for index in range(size)]
@@ -323,7 +323,7 @@ def fig9_match_request(
     result.notes = [
         f"non-optimized overhead at {sizes[-1]} services: {overhead:.0%}",
         "paper Fig.9: non-optimized ~+50% over optimized; optimized ~constant, few ms",
-        f"packed engine speedup over linear flat scan at {sizes[-1]} services: "
+        f"concept-index speedup over linear flat scan at {sizes[-1]} services: "
         f"{result.extras['index_speedup_at_max']:.1f}x",
     ]
     return result

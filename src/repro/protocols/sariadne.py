@@ -188,8 +188,7 @@ class SAriadneDirectoryAgent(DirectoryAgentBase):
 
     def _peer_summary_bank(self) -> SummaryBank:
         """The batch tester over the current peer summaries, rebuilt only
-        when :attr:`peer_summaries` mutates (epoch-keyed, like the packed
-        match engine's table cache)."""
+        when :attr:`peer_summaries` mutates (keyed to its epoch)."""
         epoch = self._peer_summaries_epoch
         if self._summary_bank is None or self._summary_bank_epoch != epoch:
             self._summary_bank = SummaryBank(self.peer_summaries)

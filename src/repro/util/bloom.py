@@ -92,12 +92,6 @@ class BloomFilter:
         self._bits = 0
         self._count = 0
 
-    @classmethod
-    def for_capacity(cls, expected_items: int, false_positive_rate: float = 0.01) -> "BloomFilter":
-        """Construct a filter sized for ``expected_items`` at the given rate."""
-        m, k = optimal_parameters(expected_items, false_positive_rate)
-        return cls(m=m, k=k)
-
     def _positions(self, item: str) -> list[int]:
         return item_positions(item, self.m, self.k)
 
@@ -111,10 +105,6 @@ class BloomFilter:
     def bits(self) -> int:
         """The raw bit vector (read-only view for batch testers)."""
         return self._bits
-
-    def contains_mask(self, mask: int) -> bool:
-        """Membership test against a precomputed :func:`item_mask`."""
-        return self._bits & mask == mask
 
     def update(self, items: Iterable[str]) -> None:
         """Add every item in ``items``."""

@@ -319,7 +319,9 @@ class TestConceptIndex:
     """The concept index (vertices by representative output and property
     concept) through random insert/remove sequences: it stays equal to one
     rebuilt from the surviving vertices, selects what the interval index
-    over the same vertices selects, and changes no answer."""
+    over the same vertices selects, and changes no answer.  A flat
+    directory fed the same sequence keeps the same kind of index over its
+    entries, with the same guarantees against its linear scan."""
 
     FOREIGN = "http://nowhere.org/o#Unencoded"
 
@@ -366,8 +368,10 @@ class TestConceptIndex:
     def test_churn_keeps_index_candidates_and_answers(
         self, suite, data, media_table, media_taxonomy, small_table, small_workload
     ):
+        from repro.core.directory import FlatDirectory
         from repro.core.interval_index import CandidateIndex
         from repro.core.matching import CodeMatcher
+        from repro.services.profile import ServiceProfile, ServiceRequest
         from repro.util.cache import DistanceCache
 
         table, taxonomy = (
@@ -394,28 +398,46 @@ class TestConceptIndex:
         }
         assert matchers["foreign"].subsumers(pool[0]) is None
         dags = {name: CapabilityDag() for name in matchers}
+        flat = FlatDirectory(table)
+        linear = FlatDirectory(table, use_interval_index=False)
+        provided: dict[str, list[Capability]] = {}
         for step in range(data.draw(st.integers(1, 14))):
             service = f"urn:x:svc:{data.draw(st.integers(0, 4))}"
             if data.draw(st.integers(0, 3)) == 0:
                 removed = {name: dag.remove_service(service) for name, dag in dags.items()}
+                removed["flat"] = flat.unpublish(service)
+                removed["linear"] = linear.unpublish(service)
+                provided.pop(service, None)
                 assert len(set(removed.values())) == 1
             else:
                 capability = self._capability(data, pool, near, f"urn:x:cap:C{step}")
                 for name, dag in dags.items():
                     dag.insert(capability, service, matchers[name])
+                provided.setdefault(service, []).append(capability)
+                profile = ServiceProfile(
+                    uri=service, name=service, provided=tuple(provided[service])
+                )
+                flat.publish(profile)
+                linear.publish(profile)
         shapes = [self._shape(dag) for dag in dags.values()]
         assert shapes[0] == shapes[1] == shapes[2]
         for dag in dags.values():
-            assert (dag._by_output, dag._by_property) == self._rebuilt(dag)
+            assert (dag._index._by_output, dag._index._by_property) == self._rebuilt(dag)
 
         oracle = CandidateIndex()
         for node in dags["uncached"].nodes():
             oracle.insert(node.node_id, node.representative, matchers["uncached"].lookup)
+        flat_oracle = CandidateIndex()
+        for entry_id, (capability, _service) in flat._entries.items():
+            flat_oracle.insert(entry_id, capability, matchers["uncached"].lookup)
         for number in range(data.draw(st.integers(1, 4))):
             requested = self._capability(data, pool, near, f"urn:x:cap:R{number}")
             for name in ("kernel", "uncached"):
                 matcher = matchers[name]
-                assert dags[name]._candidates(requested, matcher) == oracle.candidates(
+                assert dags[name]._index.candidates(requested, matcher) == oracle.candidates(
+                    requested, matcher.lookup
+                )
+                assert flat._index.candidates(requested, matcher) == flat_oracle.candidates(
                     requested, matcher.lookup
                 )
             for mode in QueryMode:
@@ -423,6 +445,8 @@ class TestConceptIndex:
                     dag.query(requested, matchers[name], mode) for name, dag in dags.items()
                 ]
                 assert answers[0] == answers[1] == answers[2]
+            request = ServiceRequest(uri=f"urn:x:req:R{number}", capabilities=(requested,))
+            assert flat.query(request) == linear.query(request)
         assert (
             matchers["kernel"].stats.capability_matches
             == matchers["uncached"].stats.capability_matches

@@ -1,6 +1,8 @@
 """Tests for the semantic directory (§3.3) and the flat baseline (Fig. 9)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.codes import StaleCodesError
 from repro.core.directory import FlatDirectory, SemanticDirectory
@@ -219,6 +221,165 @@ class TestFlatDirectory:
         profile = workstation()
         flat.publish_xml(profile_to_xml(profile))
         assert len(flat) == 1
+
+
+def _rows(matches) -> list[tuple[str, str, int]]:
+    """Ranked rows *in order*: directory equality is bit-identical."""
+    return [(m.service_uri, m.capability.uri, m.distance) for m in matches]
+
+
+def _pair(table, profiles=()):
+    """A kernel-path and a linear-scan flat directory holding ``profiles``."""
+    kernel = FlatDirectory(table)
+    linear = FlatDirectory(table, use_interval_index=False)
+    kernel.publish_batch(profiles)
+    linear.publish_batch(profiles)
+    return kernel, linear
+
+
+def _one_each(capabilities) -> list[ServiceProfile]:
+    """One single-capability service per capability."""
+    return [
+        ServiceProfile(uri=f"urn:x:svc:{i}", name=f"svc{i}", provided=(capability,))
+        for i, capability in enumerate(capabilities)
+    ]
+
+
+class TestFlatKernelEqualsLinear:
+    """``FlatDirectory``'s default path (concept-index preselection, then
+    the subsumer-map kernel) answers exactly like the Fig. 9 linear scan
+    with the scalar matcher."""
+
+    def test_batch_query_equals_linear(self, small_workload, small_table):
+        batched = FlatDirectory(small_table)
+        linear = FlatDirectory(small_table, use_interval_index=False)
+        profiles = [small_workload.make_service(i) for i in range(25)]
+        batched.publish_batch(profiles)
+        linear.publish_batch(profiles)
+
+        def canon(matches):
+            return [
+                (m.requested.uri, m.capability.uri, m.service_uri, m.distance)
+                for m in matches
+            ]
+
+        for probe in range(8):
+            request = small_workload.matching_request(profiles[probe])
+            assert canon(batched.query(request)) == canon(linear.query(request))
+
+    def test_workload_requests(self, small_workload, small_table):
+        kernel, linear = _pair(small_table, small_workload.make_services(60))
+        for probe in range(25):
+            request = small_workload.matching_request(small_workload.make_service(probe))
+            assert kernel.query(request) == linear.query(request)
+
+    def test_unrelated_requests(self, small_workload, small_table):
+        kernel, linear = _pair(
+            small_table, _one_each(small_workload.make_service(i).provided[0] for i in range(30))
+        )
+        for probe in range(10):
+            request = small_workload.unrelated_request(probe)
+            assert kernel.query(request) == linear.query(request)
+
+    def test_unknown_requested_output_matches_nothing(self, small_workload, small_table):
+        kernel, linear = _pair(small_table, [small_workload.make_service(0)])
+        alien = Capability.build(
+            uri="urn:x:alien", name="alien", outputs=["http://nowhere.example#Out"]
+        )
+        request = ServiceRequest(uri="urn:x:req:alien", capabilities=(alien,))
+        assert kernel.query(request) == [] == linear.query(request)
+        assert kernel.stats.capability_matches == 0  # preselection left nothing
+
+    def test_empty_directory(self, small_table):
+        kernel, linear = _pair(small_table)
+        requested = Capability.build(uri="urn:x:r", name="r", outputs=["urn:x#o"])
+        request = ServiceRequest(uri="urn:x:req:r", capabilities=(requested,))
+        assert kernel.query(request) == [] == linear.query(request)
+
+    def test_selective_query_scores_fewer_than_every_entry(self, small_workload, small_table):
+        profiles = small_workload.make_services(30)
+        kernel, linear = _pair(small_table, profiles)
+        request = ServiceRequest(
+            uri="urn:x:req:one",
+            capabilities=small_workload.matching_request(profiles[0]).capabilities[:1],
+        )
+        assert kernel.query(request) == linear.query(request) != []
+        assert linear.stats.capability_matches == linear.capability_count
+        assert kernel.stats.capability_matches < kernel.capability_count
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_random_capabilities_match_scalar(self, small_workload, small_table, data):
+        """Random IOPE sets from the real concept pool, alien concepts and
+        empty sets included."""
+        pool = sorted({c for onto in small_workload.ontologies for c in onto.concepts})
+        concept = st.sampled_from(pool + ["http://nowhere.example#Alien"])
+        concept_set = st.lists(concept, min_size=0, max_size=4)
+
+        def build(i: int) -> Capability:
+            return Capability.build(
+                uri=f"urn:x:h:{i}",
+                name=f"h{i}",
+                inputs=data.draw(concept_set, label=f"inputs{i}"),
+                outputs=data.draw(concept_set, label=f"outputs{i}"),
+                properties=data.draw(concept_set, label=f"properties{i}"),
+            )
+
+        n_entries = data.draw(st.integers(min_value=0, max_value=8), label="n")
+        kernel, linear = _pair(small_table, _one_each(build(i) for i in range(n_entries)))
+        request = ServiceRequest(uri="urn:x:req:h", capabilities=(build(999),))
+        assert kernel.query(request) == linear.query(request)
+
+
+class TestEngineCacheCoherence:
+    """The kernel path's concept index and distance cache outlive single
+    queries: a publish or an unpublish storm must reach them, so a query
+    never sees stale rows."""
+
+    def test_unpublish_storm_never_serves_stale_rows(self, small_workload, small_table):
+        directory = FlatDirectory(small_table)
+        profiles = small_workload.make_services(30)
+        for profile in profiles:
+            directory.publish(profile)
+        request = small_workload.matching_request(profiles[0])
+        directory.query(request)  # warm the distance cache
+        keep = profiles[0].uri
+        for profile in profiles:
+            if profile.uri != keep:
+                directory.unpublish(profile.uri)
+        survivors = {row[0] for row in _rows(directory.query(request))}
+        assert survivors <= {keep}, f"stale rows served: {survivors}"
+
+    def test_publish_after_warm_query_is_visible(self, small_workload, small_table):
+        directory = FlatDirectory(small_table)
+        late = small_workload.make_service(7)
+        request = small_workload.matching_request(late)
+        for profile in small_workload.iter_services(5):
+            directory.publish(profile)
+        directory.query(request)  # warm without `late` published
+        directory.publish(late)
+        assert late.uri in {row[0] for row in _rows(directory.query(request))}
+
+    @settings(max_examples=25, deadline=None)
+    @given(ops=st.lists(st.tuples(st.booleans(), st.integers(0, 11)), max_size=14))
+    def test_interleaved_churn_equals_scalar_rebuild(
+        self, small_workload, small_table, ops
+    ):
+        """Any publish/unpublish interleaving: the kernel path answers
+        exactly like a scalar directory fed the same ops, with a query
+        (cache warm) forced between every mutation."""
+        cached = FlatDirectory(small_table)
+        scalar = FlatDirectory(small_table, use_interval_index=False)
+        request = small_workload.matching_request(small_workload.make_service(0))
+        for is_publish, index in ops:
+            profile = small_workload.make_service(index)
+            if is_publish:
+                cached.publish(profile)
+                scalar.publish(profile)
+            else:
+                cached.unpublish(profile.uri)
+                scalar.unpublish(profile.uri)
+            assert _rows(cached.query(request)) == _rows(scalar.query(request))
 
 
 class TestWorkloadScale:

@@ -332,6 +332,34 @@ class TestSubsumerMapKernel:
                     candidate, requested
                 ) == reasoner.semantic_distance(candidate, requested)
 
+    def test_subsumer_maps_equal_pairwise_distances(self, small_workload, small_table):
+        """``CodeTable.subsumers`` holds exactly the concepts a per-pair
+        ``concept_distance`` finds subsuming, at the same distances."""
+        concepts = sorted(
+            {
+                c
+                for i in range(10)
+                for cap in small_workload.make_service(i).provided
+                for c in cap.concepts()
+            }
+        )
+        matcher = CodeMatcher(table=small_table)
+        probes = [
+            c
+            for i in range(10, 20)
+            for cap in small_workload.make_service(i).provided
+            for c in cap.concepts()
+        ]
+        for probe in probes + [UNKNOWN]:
+            subsumers = small_table.subsumers(probe)
+            got = {c: d for c, d in subsumers.items() if c in concepts}
+            expected = {
+                c: d
+                for c in concepts
+                if (d := matcher.concept_distance(c, probe)) is not None
+            }
+            assert got == expected
+
     def test_repeat_compile_hits_the_cache(
         self, media_table, send_digital_stream, get_video_stream
     ):
