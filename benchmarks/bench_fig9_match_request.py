@@ -36,7 +36,7 @@ def populations(directory_workload: ServiceWorkload, directory_table):
     for size in DIRECTORY_SIZES:
         semantic = SemanticDirectory(directory_table)
         # The paper's non-optimized baseline is a genuine linear scan.
-        baseline = FlatDirectory(directory_table, use_interval_index=False)
+        baseline = FlatDirectory(directory_table, use_concept_index=False)
         indexed = FlatDirectory(directory_table)
         profiles = [directory_workload.make_service(index) for index in range(size)]
         semantic.publish_batch(profiles)

@@ -5,12 +5,19 @@ from a concept index over subsumer maps (the one the capability graphs
 keep) and scores only those with the subsumer-map kernel; this sweep
 pits it against the scalar per-entry matcher on identical content:
 
-* ``scalar`` — ``FlatDirectory(use_interval_index=False)``: the paper's
+* ``scalar`` — ``FlatDirectory(use_concept_index=False)``: the paper's
   linear scan, one ``match_outcome`` per cached capability (measured only
   up to 10⁴ entries; beyond that it is minutes per point);
 * ``batch`` — ``FlatDirectory(table)``: the concept index and kernel over
   the same flat list.  "pruned %" is the share of entries one query
   never scores (from the ``capability_matches`` counter).
+
+A second table times one *unselective* request (every leaf of two
+ontologies as inputs, one leaf output, like the live benchmark's
+``broad_match`` mix) on both directory kinds at every size: the flat
+``batch`` path and ``SemanticDirectory``, whose one concept-index probe
+spans all of its capability graphs.  Their rows must agree (greedy mode
+may stop early only on a perfect match).
 
 Gates (hard asserts, also exported for ``obs regress``):
 
@@ -30,9 +37,10 @@ import time
 
 from benchmarks._report import save_report
 from repro.core.codes import CodeTable
-from repro.core.directory import FlatDirectory
+from repro.core.directory import FlatDirectory, SemanticDirectory
 from repro.ontology.registry import OntologyRegistry
 from repro.services.generator import ServiceWorkload, WorkloadShape
+from repro.services.profile import Capability, ServiceRequest
 
 SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
 XL = bool(os.environ.get("REPRO_BENCH_XL"))
@@ -62,28 +70,55 @@ def _canon(matches) -> list[tuple[str, str, int]]:
     return sorted((m.service_uri, m.capability.uri, m.distance) for m in matches)
 
 
+def _unselective_request(workload: ServiceWorkload) -> ServiceRequest:
+    """Every leaf of the first two ontologies as inputs, the first one's
+    first leaf as the output."""
+    taxonomy = workload.taxonomy
+    leaves = [
+        sorted(
+            concept
+            for concept in ontology.concepts
+            if not taxonomy.children(taxonomy.canonical(concept))
+        )
+        for ontology in workload.ontologies[:2]
+    ]
+    capability = Capability.build(
+        uri="urn:repro:request:unselective",
+        name="Unselective",
+        inputs=leaves[0] + leaves[1],
+        outputs=leaves[0][:1],
+    )
+    return ServiceRequest(uri="urn:repro:request:u", capabilities=(capability,))
+
+
 def test_match_scaling_report():
     workload = ServiceWorkload(WorkloadShape(), seed=42)
     table = CodeTable(OntologyRegistry(workload.ontologies))
     request = workload.matching_request(workload.make_service(0))
+    unselective = _unselective_request(workload)
 
     metrics: dict[str, object] = {}
     lines = [
         f"{'capabilities':>12} {'scalar ms':>12} {'batch ms':>12} "
         f"{'speedup':>9} {'pruned %':>9}",
     ]
+    unselective_lines = [
+        f"{'capabilities':>12} {'flat ms':>12} {'semantic ms':>12} {'rows':>6}",
+    ]
     batch_series: dict[int, float] = {}
     scalar_series: dict[int, float] = {}
 
     for size in SIZES:
         batch_dir = FlatDirectory(table)
-        scalar_dir = FlatDirectory(table, use_interval_index=False)
+        scalar_dir = FlatDirectory(table, use_concept_index=False)
+        semantic_dir = SemanticDirectory(table)
         measure_scalar = size <= SCALAR_CAP
         # iter_services streams the population: no profile list is ever
         # materialized, so 10⁵–10⁶ sizes stay within bounded generator
         # memory (the directory itself holds the published capabilities).
         for profile in workload.iter_services(size):
             batch_dir.publish(profile)
+            semantic_dir.publish(profile)
             if measure_scalar:
                 scalar_dir.publish(profile)
 
@@ -119,6 +154,20 @@ def test_match_scaling_report():
             f"{speedup_txt} {pruned_pct:8.1f}%"
         )
 
+        flat_rows = _canon(batch_dir.query(unselective))
+        semantic_rows = _canon(semantic_dir.query(unselective))
+        assert set(semantic_rows) <= set(flat_rows), f"semantic rows not flat rows at {size}"
+        assert semantic_rows == flat_rows or any(row[2] == 0 for row in semantic_rows), (
+            f"semantic/flat unselective divergence at size {size}"
+        )
+        flat_s = _mean_query_seconds(lambda: batch_dir.query(unselective), repeats)
+        semantic_s = _mean_query_seconds(lambda: semantic_dir.query(unselective), repeats)
+        metrics[f"unselective_flat_s_{size}"] = flat_s
+        metrics[f"unselective_semantic_s_{size}"] = semantic_s
+        unselective_lines.append(
+            f"{size:>12} {flat_s * 1e3:12.3f} {semantic_s * 1e3:12.3f} {len(semantic_rows):>6}"
+        )
+
     # --- gates ---------------------------------------------------------
     gate_speedup = scalar_series[GATE_SIZE] / max(batch_series[GATE_SIZE], 1e-12)
     metrics["batch_speedup_at_10000"] = gate_speedup
@@ -137,6 +186,9 @@ def test_match_scaling_report():
         f"speedup at {GATE_SIZE}: {gate_speedup:.1f}x (floor {SPEEDUP_FLOOR}x); "
         f"batch latency growth {min(batch_series)}→{largest}: {flatness:.1f}x"
     )
+    lines.append("")
+    lines.append("unselective request (every leaf of two ontologies in, one leaf out):")
+    lines.extend(unselective_lines)
 
     units = {
         name: "ratio" if "speedup" in name or "growth" in name else "seconds"

@@ -95,7 +95,7 @@ def test_matchmaker_pareto_report():
     backends = {
         "semantic": SemanticDirectory(table),
         "flat": FlatDirectory(table),
-        "flat-linear": FlatDirectory(table, use_interval_index=False),
+        "flat-linear": FlatDirectory(table, use_concept_index=False),
         "syntactic": SyntacticRegistry(),
         "annotated": AnnotatedTaxonomyRegistry(workload.taxonomy),
         "gist": GistDirectory(table),

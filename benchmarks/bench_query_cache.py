@@ -90,7 +90,7 @@ def test_flat_indexed_stream(benchmark, directory_table, query_workload):
 
 def test_flat_linear_stream(benchmark, directory_table, query_workload):
     profiles, stream = query_workload
-    directory = FlatDirectory(directory_table, use_interval_index=False)
+    directory = FlatDirectory(directory_table, use_concept_index=False)
     directory.publish_batch(profiles)
     result = benchmark(directory.query_batch, stream)
     assert len(result) == len(stream)
@@ -114,7 +114,7 @@ def test_query_cache_report(benchmark, directory_table, query_workload):
     rows.append(["semantic warm", f"{warm_us:.1f}", f"{warm_hit_rate:.1%}"])
 
     # -- flat linear vs flat indexed -------------------------------------
-    linear = FlatDirectory(directory_table, use_interval_index=False)
+    linear = FlatDirectory(directory_table, use_concept_index=False)
     linear.publish_batch(profiles)
     indexed = FlatDirectory(directory_table)
     indexed.publish_batch(profiles)

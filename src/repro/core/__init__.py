@@ -22,7 +22,6 @@ from repro.core.capability_graph import CapabilityDag, QueryMode
 from repro.core.composition import Binding, Composer, CompositionError, CompositionPlan
 from repro.core.directory import DirectoryMatch, FlatDirectory, SemanticDirectory
 from repro.core.encoding import Interval, IntervalEncoder, linkinvexp
-from repro.core.interval_index import CandidateIndex, IntervalIndex
 from repro.core.matching import CodeMatcher, MatchOutcome, Matcher, MatcherStats, TaxonomyMatcher
 from repro.core.summaries import DirectorySummary
 
@@ -43,8 +42,6 @@ __all__ = [
     "Interval",
     "IntervalEncoder",
     "linkinvexp",
-    "CandidateIndex",
-    "IntervalIndex",
     "CodeMatcher",
     "MatchOutcome",
     "Matcher",

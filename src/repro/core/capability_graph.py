@@ -8,15 +8,19 @@ request against roots only and descends toward the smallest semantic
 distance, so answering a request needs a handful of semantic matches
 instead of one per cached capability (the Fig. 9 effect).
 
-Each graph also keeps a :class:`ConceptIndex`: its vertices by the output
-and by the property concepts of their representatives.  A matcher that
-resolves codes from the table alone hands out each requested concept's
-subsumer map (:meth:`repro.core.matching.Matcher.subsumers`), and the
-vertices indexed under a concept of that map are exactly the ones whose
-representative can cover it.  Intersecting over the requested outputs and
-properties gives the vertices that can match at all, so a query or an
-insertion starts from the parentless candidates instead of every root and
-never runs a semantic match that is bound to fail.  The flat directory
+Vertices are found through a :class:`ConceptIndex`: vertices by the
+output and by the property concepts of their representatives.  A matcher
+that resolves codes from the table alone hands out each requested
+concept's subsumer map (:meth:`repro.core.matching.Matcher.subsumers`),
+and the vertices indexed under a concept of that map are exactly the ones
+whose representative can cover it.  Intersecting over the requested
+outputs and properties gives the vertices that can match at all, so a
+query or an insertion starts from the parentless candidates instead of
+every root and never runs a semantic match that is bound to fail.  A
+standalone graph keeps its own index; the graphs of a
+:class:`repro.core.directory.SemanticDirectory` share one directory-wide
+index, whose items (:class:`DagNode`) lead straight to their graph, so a
+request is probed once for all graphs.  The flat directory
 (:class:`repro.core.directory.FlatDirectory`) preselects its entries with
 the same class.
 
@@ -34,16 +38,20 @@ Deviations from the paper, by necessity:
   mutually *with distance 0*; mutual matches with non-zero distance would
   create a 2-cycle, so we merge on mutual match regardless of distance and
   keep the individual capabilities as separate entries of the vertex;
-* the paper's query returns as soon as one graph yields a match; we rank
-  all candidate graphs and return the globally best entries, plus expose
-  the paper's first-hit behaviour via ``first_only``.
+* the paper's query returns as soon as one graph yields a match; the
+  directory searches the graphs holding candidates in turn, stops (greedy
+  mode) after the first one with a perfect (distance 0) match, and ranks
+  the entries of every graph searched together.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
+import weakref
+from collections.abc import Hashable
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from repro.core.matching import Matcher
 from repro.obs import NULL_OBS
@@ -67,12 +75,20 @@ class DagEntry:
     service_uri: str
 
 
-@dataclass
+@dataclass(eq=False, slots=True)
 class DagNode:
-    """A vertex: an equivalence class of advertised capabilities."""
+    """A vertex: an equivalence class of advertised capabilities.
+
+    Hashed by identity: concept indexes hold vertices themselves, so a
+    candidate leads straight to its entries and, through ``graph`` (a weak
+    reference shared by the graph's vertices), to its graph.  The
+    reference is weak so that a dropped graph is freed at once instead of
+    waiting for the cycle collector.
+    """
 
     node_id: int
     representative: Capability
+    graph: weakref.ReferenceType[CapabilityDag] = field(repr=False)
     entries: list[DagEntry] = field(default_factory=list)
     parents: set[int] = field(default_factory=set)
     children: set[int] = field(default_factory=set)
@@ -91,35 +107,43 @@ class ConceptIndex:
     """Items by the output and by the property concepts of their capabilities.
 
     The one candidate preselection of both directory kinds: capability
-    graphs index their vertices' representatives, the flat directory its
-    entries.  ``Match`` needs every requested output (property) covered by
-    some provided output (property), so an item qualifies only if, for
+    graphs index their vertices (:class:`DagNode`), the flat directory its
+    entry ids.  ``Match`` needs every requested output (property) covered
+    by some provided output (property), so an item qualifies only if, for
     each requested concept, its capability holds a concept of that
     concept's subsumer map (:meth:`repro.core.matching.Matcher.subsumers`).
     """
 
     def __init__(self) -> None:
-        self._by_output: dict[str, set[int]] = {}
-        self._by_property: dict[str, set[int]] = {}
+        self._by_output: dict[str, set[Hashable]] = {}
+        self._by_property: dict[str, set[Hashable]] = {}
+        self._size = 0
 
-    def add(self, item_id: int, capability: Capability) -> None:
-        """Index ``capability`` under ``item_id``."""
+    def __len__(self) -> int:
+        return self._size
+
+    def add(self, item: Hashable, capability: Capability) -> None:
+        """Index ``capability`` under ``item``."""
+        self._size += 1
         for concepts, index in self._fields(capability):
             for concept in concepts:
-                index.setdefault(concept, set()).add(item_id)
+                index.setdefault(concept, set()).add(item)
 
-    def discard(self, item_id: int, capability: Capability) -> None:
-        """Drop ``item_id``, indexed earlier under ``capability``."""
+    def discard(self, item: Hashable, capability: Capability) -> None:
+        """Drop ``item``, indexed earlier under ``capability``."""
+        self._size -= 1
         for concepts, index in self._fields(capability):
             for concept in concepts:
-                ids = index[concept]
-                ids.discard(item_id)
-                if not ids:
+                items = index[concept]
+                items.discard(item)
+                if not items:
                     del index[concept]
 
-    def candidates(self, requested: Capability, matcher: Matcher) -> set[int] | None:
-        """Items whose capability may match ``requested``; ``None`` when the
-        matcher gives no preselection.
+    def candidates(
+        self, requested: Capability, matcher: Matcher, within: set | None = None
+    ) -> set | None:
+        """Items (of ``within``, when given) whose capability may match
+        ``requested``; ``None`` when the matcher gives no preselection.
 
         The candidates are the intersection, over the requested outputs and
         properties, of the items indexed under the concepts of each one's
@@ -128,26 +152,42 @@ class ConceptIndex:
         ``None`` when the request has neither outputs nor properties, or
         the matcher hands out no maps (taxonomy matchers, embedded codes
         shadowing the table).
+
+        The intersection is progressive: ``within``, or else the requested
+        concept with the fewest indexed items, seeds the running set, and
+        each requested concept keeps the survivors found in the item set
+        of some concept of its map.  ``survivors & items`` walks the
+        smaller side, so no later concept's whole hit set is ever
+        gathered.
         """
-        result: set[int] | None = None
+        if not requested.outputs and not requested.properties:
+            return None
+        result = within
+        probes: list[list[set[Hashable]]] = []
         for concepts, index in self._fields(requested):
             for concept in concepts:
                 subsumers = matcher.subsumers(concept)
                 if subsumers is None:
                     return None
-                hits: set[int] = set()
                 if len(subsumers) <= len(index):
-                    for over in subsumers:
-                        ids = index.get(over)
-                        if ids is not None:
-                            hits.update(ids)
+                    item_sets = [index[over] for over in subsumers if over in index]
                 else:
-                    for over, ids in index.items():
-                        if over in subsumers:
-                            hits.update(ids)
-                result = hits if result is None else result & hits
+                    item_sets = [items for over, items in index.items() if over in subsumers]
+                if not item_sets:
+                    return set()
+                if result is None:
+                    probes.append(item_sets)
+                    continue
+                result = _narrowed(result, item_sets)
                 if not result:
                     return result
+        if result is None:
+            probes.sort(key=_indexed)
+            result = set().union(*probes[0])
+            for item_sets in probes[1:]:
+                result = _narrowed(result, item_sets)
+                if not result:
+                    break
         return result
 
     def _fields(self, capability: Capability):
@@ -159,14 +199,39 @@ class ConceptIndex:
         )
 
 
-class CapabilityDag:
-    """One classified graph of capabilities (vertices + reduction edges)."""
+def _indexed(item_sets: list[set]) -> int:
+    """Items indexed under a requested concept's subsumers (with repeats)."""
+    return sum(map(len, item_sets))
 
-    def __init__(self) -> None:
+
+def _narrowed(result: set, item_sets: list[set]) -> set:
+    """The items of ``result`` found in some set of ``item_sets``."""
+    survivors: set = set()
+    for items in item_sets:
+        survivors |= result & items
+    return survivors
+
+
+_NODE_ID = attrgetter("node_id")
+
+
+class CapabilityDag:
+    """One classified graph of capabilities (vertices + reduction edges).
+
+    Args:
+        index: the concept index to keep this graph's vertices in — a
+            directory shares one across its graphs; by default the graph
+            keeps its own.
+    """
+
+    def __init__(self, index: ConceptIndex | None = None) -> None:
         self._nodes: dict[int, DagNode] = {}
+        # The vertices again, as the set a shared index's probe is
+        # restricted to.
+        self._vertices: set[DagNode] = set()
         self._ids = itertools.count(1)
-        # Concept index over the vertices' representatives.
-        self._index = ConceptIndex()
+        self._index = ConceptIndex() if index is None else index
+        self._ref = weakref.ref(self)
         self.obs = NULL_OBS
 
     # ------------------------------------------------------------------
@@ -200,6 +265,12 @@ class CapabilityDag:
                 result |= entry.capability.ontologies()
         return result
 
+    def candidates(self, requested: Capability, matcher: Matcher) -> set[DagNode] | None:
+        """This graph's vertices that may match ``requested``
+        (:meth:`ConceptIndex.candidates` within them); ``None`` when the
+        matcher gives no maps."""
+        return self._index.candidates(requested, matcher, self._vertices)
+
     # ------------------------------------------------------------------
     # Insertion (§3.3 "Adding a New Service Advertisement")
     # ------------------------------------------------------------------
@@ -207,7 +278,7 @@ class CapabilityDag:
         """Classify one capability into the graph; returns its vertex id."""
         # Vertices that can subsume the newcomer (``Match(N, capability)``)
         # are exactly the query-direction candidates for it.
-        candidates = self._index.candidates(capability, matcher)
+        candidates = self.candidates(capability, matcher)
         uppers = self._minimal_subsumers(capability, matcher, candidates)
         equal = next(
             (
@@ -222,10 +293,11 @@ class CapabilityDag:
             return equal
         lowers = self._maximal_subsumees(capability, matcher)
 
-        node = DagNode(node_id=next(self._ids), representative=capability)
+        node = DagNode(node_id=next(self._ids), representative=capability, graph=self._ref)
         node.entries.append(DagEntry(capability, service_uri))
         self._nodes[node.node_id] = node
-        self._index.add(node.node_id, capability)
+        self._vertices.add(node)
+        self._index.add(node, capability)
 
         # Remove reduction edges that the new vertex now interposes.
         for lower_id in lowers:
@@ -257,37 +329,43 @@ class CapabilityDag:
         return False
 
     def _minimal_subsumers(
-        self, capability: Capability, matcher: Matcher, candidates: set[int] | None = None
+        self, capability: Capability, matcher: Matcher, candidates: set[DagNode] | None = None
     ) -> set[int]:
         """Vertices N with ``Match(N, capability)`` minimal in the order.
 
         Top search from the roots: subsumers are ancestor-closed (Match is
         transitive), so children of a non-matching vertex never match.
         ``candidates`` (when not ``None``) is a sound superset of the
-        matching vertices (:meth:`ConceptIndex.candidates`); vertices outside it are
+        matching vertices (:meth:`candidates`); vertices outside it are
         rejected without a semantic match, and the search starts from the
         parentless ones among them.
         """
+        if candidates is not None and not candidates:
+            return set()
+        nodes = self._nodes
         matching_memo: dict[int, bool] = {}
 
         def matches(node_id: int) -> bool:
-            if candidates is not None and node_id not in candidates:
+            node = nodes[node_id]
+            if candidates is not None and node not in candidates:
                 return False
             if node_id not in matching_memo:
-                matching_memo[node_id] = matcher.match(
-                    self._nodes[node_id].representative, capability
-                )
+                matching_memo[node_id] = matcher.match(node.representative, capability)
             return matching_memo[node_id]
 
+        if candidates is None:
+            roots = self.roots()
+        else:
+            roots = sorted((node for node in candidates if not node.parents), key=_NODE_ID)
         result: set[int] = set()
-        stack = [node_id for node_id in self._root_ids(candidates) if matches(node_id)]
+        stack = [node.node_id for node in roots if matches(node.node_id)]
         seen: set[int] = set()
         while stack:
             node_id = stack.pop()
             if node_id in seen:
                 continue
             seen.add(node_id)
-            narrower = [c for c in self._nodes[node_id].children if matches(c)]
+            narrower = [c for c in nodes[node_id].children if matches(c)]
             if narrower:
                 stack.extend(narrower)
             else:
@@ -348,7 +426,8 @@ class CapabilityDag:
 
     def _delete_node(self, node_id: int) -> None:
         node = self._nodes.pop(node_id)
-        self._index.discard(node_id, node.representative)
+        self._vertices.discard(node)
+        self._index.discard(node, node.representative)
         for parent_id in node.parents:
             self._nodes[parent_id].children.discard(node_id)
         for child_id in node.children:
@@ -375,14 +454,6 @@ class CapabilityDag:
     # ------------------------------------------------------------------
     # Query (§3.3 "Answering User Requests")
     # ------------------------------------------------------------------
-    def _root_ids(self, candidates: set[int] | None) -> list[int]:
-        """The parentless vertices, among ``candidates`` when given, in
-        insertion order (vertex ids grow with insertion)."""
-        nodes = self._nodes
-        if candidates is None:
-            return [node_id for node_id, node in nodes.items() if not node.parents]
-        return sorted(node_id for node_id in candidates if not nodes[node_id].parents)
-
     def query(
         self,
         requested: Capability,
@@ -397,68 +468,72 @@ class CapabilityDag:
         every vertex is evaluated.
 
         Both scans are narrowed to the candidate vertices
-        (:meth:`ConceptIndex.candidates`) when the matcher provides subsumer maps: a
+        (:meth:`candidates`) when the matcher provides subsumer maps: a
         vertex outside the set cannot match (its distance would be
         ``None``), so skipping it changes no result — only the number of
         semantic matches evaluated.
         """
         obs = self.obs
-        index = self._index
         if not obs.tracing:
-            return self._search(requested, matcher, mode, index.candidates(requested, matcher))
-        with obs.span("dag.descend", mode=mode.name.lower(), vertices=len(self._nodes)) as span:
-            candidates = index.candidates(requested, matcher)
-            results = self._search(requested, matcher, mode, candidates)
-            span.attrs["candidates"] = len(self._nodes if candidates is None else candidates)
-            span.attrs["hits"] = len(results)
+            hits = self.search(requested, matcher, mode, self.candidates(requested, matcher))
+        else:
+            with obs.span("dag.descend", mode=mode.name.lower(), vertices=len(self._nodes)) as span:
+                candidates = self.candidates(requested, matcher)
+                hits = self.search(requested, matcher, mode, candidates)
+                span.attrs["candidates"] = len(self._nodes if candidates is None else candidates)
+                span.attrs["hits"] = len(hits)
+        results = [
+            GraphMatch(entry.capability, entry.service_uri, distance)
+            for node, distance in hits.items()
+            for entry in node.entries
+        ]
+        results.sort(key=lambda m: (m.distance, m.service_uri))
         return results
 
-    def _search(
+    def search(
         self,
         requested: Capability,
         matcher: Matcher,
         mode: QueryMode,
-        candidates: set[int] | None,
-    ) -> list[GraphMatch]:
-        if candidates is not None and not candidates:
-            return []
-        nodes = self._nodes
-        hits: dict[int, int] = {}
-        if mode is QueryMode.EXHAUSTIVE:
-            for node_id in nodes if candidates is None else sorted(candidates):
-                distance = matcher.semantic_distance(nodes[node_id].representative, requested)
-                if distance is not None:
-                    hits[node_id] = distance
+        candidates: set[DagNode] | None,
+    ) -> dict[DagNode, int]:
+        """The matching vertices with their semantic distances, in the
+        order found: the greedy descent or the exhaustive scan over this
+        graph's ``candidates`` (every vertex when ``None``)."""
+        if candidates is None:
+            pool = list(self._nodes.values())
         else:
-            for root_id in self._root_ids(candidates):
-                distance = matcher.semantic_distance(nodes[root_id].representative, requested)
-                if distance is None:
-                    continue
-                current_id, current_distance = root_id, distance
-                hits[current_id] = min(hits.get(current_id, current_distance), current_distance)
-                improved = True
-                while improved and current_distance > 0:
-                    improved = False
-                    for child_id in nodes[current_id].children:
-                        if candidates is not None and child_id not in candidates:
-                            continue
-                        child_distance = matcher.semantic_distance(
-                            nodes[child_id].representative, requested
-                        )
-                        if child_distance is not None and child_distance < current_distance:
-                            current_id, current_distance = child_id, child_distance
-                            improved = True
-                    hits[current_id] = min(
-                        hits.get(current_id, current_distance), current_distance
-                    )
-
-        results = [
-            GraphMatch(entry.capability, entry.service_uri, distance)
-            for node_id, distance in hits.items()
-            for entry in nodes[node_id].entries
-        ]
-        results.sort(key=lambda m: (m.distance, m.service_uri))
-        return results
+            pool = sorted(candidates, key=_NODE_ID)
+        distance_of = matcher.semantic_distance
+        hits: dict[DagNode, int] = {}
+        if mode is QueryMode.EXHAUSTIVE:
+            for node in pool:
+                distance = distance_of(node.representative, requested)
+                if distance is not None:
+                    hits[node] = distance
+            return hits
+        nodes = self._nodes
+        for root in pool:
+            if root.parents:
+                continue
+            distance = distance_of(root.representative, requested)
+            if distance is None:
+                continue
+            current, current_distance = root, distance
+            hits[current] = min(hits.get(current, current_distance), current_distance)
+            improved = True
+            while improved and current_distance > 0:
+                improved = False
+                for child_id in current.children:
+                    child = nodes[child_id]
+                    if candidates is not None and child not in candidates:
+                        continue
+                    child_distance = distance_of(child.representative, requested)
+                    if child_distance is not None and child_distance < current_distance:
+                        current, current_distance = child, child_distance
+                        improved = True
+                hits[current] = min(hits.get(current, current_distance), current_distance)
+        return hits
 
     # ------------------------------------------------------------------
     # Introspection rendering

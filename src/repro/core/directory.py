@@ -3,9 +3,11 @@
 :class:`SemanticDirectory` is the optimized directory S-Ariadne deploys on
 elected nodes: it parses Amigo-S advertisements (XML), encodes their
 concepts with the code table, classifies their capabilities into
-:class:`~repro.core.capability_graph.CapabilityDag` graphs *indexed by the
+:class:`~repro.core.capability_graph.CapabilityDag` graphs *keyed by the
 ontology sets they use*, and answers requests with a handful of numeric
-matches.  :class:`FlatDirectory` is the unclassified baseline of Fig. 9:
+matches: one directory-wide concept index finds the vertices of every
+graph that can match a requested capability, and only the graphs holding
+them are searched.  :class:`FlatDirectory` is the unclassified baseline of Fig. 9:
 same code-based matching, but no capability graphs: by default the entries
 a concept index preselects are scored by the subsumer-map kernel, and the
 paper's linear scan stays available (see ``docs/PERFORMANCE.md``).
@@ -32,12 +34,12 @@ from collections.abc import Iterable
 from contextlib import nullcontext
 from dataclasses import dataclass
 
-from repro.core.capability_graph import CapabilityDag, ConceptIndex, GraphMatch, QueryMode
+from repro.core.capability_graph import CapabilityDag, ConceptIndex, DagNode, QueryMode
 from repro.core.codes import CodeTable, StaleCodesError
 from repro.core.matching import CodeMatcher, Matcher, MatcherStats
 from repro.core.summaries import DirectorySummary
 from repro.obs import NULL_OBS
-from repro.services.profile import Capability, ServiceProfile, ServiceRequest, ontology_of
+from repro.services.profile import Capability, ServiceProfile, ServiceRequest
 from repro.services.xml_codec import (
     profile_from_element,
     profile_from_xml,
@@ -63,6 +65,11 @@ class DirectoryMatch:
     distance: int
 
 
+def _rank(match: DirectoryMatch) -> tuple[int, str, str]:
+    """Answer order: ascending distance, then service and capability URI."""
+    return match.distance, match.service_uri, match.capability.uri
+
+
 class SemanticDirectory:
     """The §3.3 optimized directory: encoded matching + classified graphs.
 
@@ -70,8 +77,6 @@ class SemanticDirectory:
         table: code table snapshotting the ontologies in force.
         query_mode: how graphs are searched (paper default: greedy).
         summary_bits / summary_hashes: Bloom summary parameters (§4).
-        preselection: graph-index filter strength (see
-            :meth:`_candidate_graphs`).
         distance_cache_size: capacity of the shared concept-distance memo;
             0 disables it (every pair recomputed, as in the seed code).
     """
@@ -82,21 +87,19 @@ class SemanticDirectory:
         query_mode: QueryMode = QueryMode.GREEDY,
         summary_bits: int = 512,
         summary_hashes: int = 4,
-        preselection: str = "superset",
         distance_cache_size: int = DEFAULT_MAXSIZE,
     ) -> None:
-        if preselection not in ("superset", "intersection"):
-            raise ValueError(f"unknown preselection {preselection!r}")
         self.table = table
         self.query_mode = query_mode
-        self.preselection = preselection
         self.summary = DirectorySummary(m=summary_bits, k=summary_hashes)
         self._graphs: dict[frozenset[str], CapabilityDag] = {}
+        # Every graph's vertices, in one index shared by the graphs.
+        self._index = ConceptIndex()
+        # Each graph's ontology key and creation rank, the order in which
+        # a request visits graphs after the exact key and the overlap.
+        self._graph_keys: dict[CapabilityDag, tuple[frozenset[str], int]] = {}
+        self._graph_ranks = itertools.count()
         self._profiles: dict[str, ServiceProfile] = {}
-        # Graph preselection depends only on the *keys* of the ontology
-        # index, which change far less often than their contents: memoize
-        # per request signature, flush when a graph is created or dropped.
-        self._graph_select_memo: dict[tuple[frozenset[str], frozenset[str]], list[CapabilityDag]] = {}
         self.timer = PhaseTimer()
         #: Aggregated matcher counters across every publish/query this
         #: directory served (each call used to get throwaway counters).
@@ -260,9 +263,9 @@ class SemanticDirectory:
                 key = capability.ontologies()
                 graph = self._graphs.get(key)
                 if graph is None:
-                    graph = self._graphs[key] = CapabilityDag()
+                    graph = self._graphs[key] = CapabilityDag(self._index)
                     graph.obs = self._obs
-                    self._graph_select_memo.clear()
+                    self._graph_keys[graph] = (key, next(self._graph_ranks))
                 graph.insert(capability, profile.uri, matcher)
                 self.summary.add_capability(capability)
         self._profiles[profile.uri] = profile
@@ -288,7 +291,7 @@ class SemanticDirectory:
             removed += graph.remove_service(service_uri)
             if len(graph) == 0:
                 del self._graphs[key]
-                self._graph_select_memo.clear()
+                del self._graph_keys[graph]
         for capability in profile.provided:
             self.summary.remove_capability(capability)
         return removed
@@ -296,45 +299,6 @@ class SemanticDirectory:
     # ------------------------------------------------------------------
     # Queries (§3.3 answering, Fig. 9)
     # ------------------------------------------------------------------
-    def _candidate_graphs(self, capability: Capability) -> list[CapabilityDag]:
-        """Graphs preselected by the ontology index.
-
-        Graphs whose key shares no ontology with the request are always
-        filtered out (the paper's DAG2/O3 example).  In the default
-        ``superset`` mode the filter is stronger: a matching advertisement
-        must provide outputs/properties that *subsume* the requested ones,
-        and (with ontologies defining disjoint concept spaces) a subsumer
-        lives in the same ontology as the subsumee — so a graph can only
-        contain a match if its key covers every ontology the request's
-        outputs and properties come from.  This is what keeps the number
-        of semantic matches per query nearly independent of directory size
-        (Fig. 9).  ``intersection`` mode keeps the weaker filter for
-        ontology suites with cross-namespace bridging axioms.
-        """
-        wanted = capability.ontologies()
-        required = frozenset(
-            ontology_of(c) for c in capability.outputs | capability.properties
-        )
-        memo_key = (wanted, required)
-        memoized = self._graph_select_memo.get(memo_key)
-        if memoized is not None:
-            return memoized
-        scored: list[tuple[int, int, CapabilityDag]] = []
-        for key, graph in self._graphs.items():
-            overlap = len(key & wanted)
-            if overlap == 0:
-                continue
-            if self.preselection == "superset" and required and not required <= key:
-                continue
-            exact = 0 if key == wanted else 1
-            scored.append((exact, -overlap, graph))
-        scored.sort(key=lambda item: (item[0], item[1]))
-        selected = [graph for _exact, _overlap, graph in scored]
-        if len(self._graph_select_memo) >= 1024:  # bound stale-request growth
-            self._graph_select_memo.clear()
-        self._graph_select_memo[memo_key] = selected
-        return selected
-
     def query_xml(self, document: str) -> list[DirectoryMatch]:
         """Parse a request document and answer it.
 
@@ -379,35 +343,84 @@ class SemanticDirectory:
         results: list[DirectoryMatch] = []
         with self.timer.phase("match"):
             for capability in request.capabilities:
-                if obs.tracing:
-                    with obs.span("graph.select") as span:
-                        graphs = self._candidate_graphs(capability)
-                        span.attrs["graphs"] = len(graphs)
-                        span.attrs["indexed"] = self.graph_count
-                else:
-                    graphs = self._candidate_graphs(capability)
-                hits: list[GraphMatch] = []
-                for graph in graphs:
-                    hits.extend(graph.query(capability, matcher, self.query_mode))
-                    if self.query_mode is QueryMode.GREEDY and any(
-                        hit.distance == 0 for hit in hits
-                    ):
-                        break  # a perfect substitute exists; stop scanning graphs
-                hits.sort(key=lambda m: (m.distance, m.service_uri, m.capability.uri))
-                results.extend(
-                    DirectoryMatch(capability, hit.capability, hit.service_uri, hit.distance)
-                    for hit in hits
-                )
+                if not obs.tracing:
+                    results.extend(self._search(capability, matcher))
+                    continue
+                mode = self.query_mode.name.lower()
+                with obs.span("dag.descend", mode=mode, vertices=len(self._index)) as span:
+                    results.extend(self._search(capability, matcher, span.attrs))
         return results
+
+    def _search(
+        self, requested: Capability, matcher: Matcher, attrs: dict | None = None
+    ) -> list[DirectoryMatch]:
+        """The ranked matches of one requested capability.
+
+        One probe of the directory-wide concept index finds the vertices
+        that can match, and each graph holding some is searched over its
+        own.  Without subsumer maps (embedded foreign codes, a request
+        with neither outputs nor properties) every vertex of the graphs
+        sharing an ontology with the request is a candidate.  Graphs are
+        visited keyed by exactly the request's ontologies first, then by
+        decreasing overlap with them, then in creation order; in greedy
+        mode the first graph with a perfect (distance 0) match ends the
+        visit.  ``attrs`` (a span's) receives the search's sizes.
+        """
+        candidates = self._index.candidates(requested, matcher)
+        groups: dict[CapabilityDag, set[DagNode] | None]
+        if candidates is None:
+            wanted = requested.ontologies()
+            groups = {graph: None for key, graph in self._graphs.items() if key & wanted}
+        else:
+            by_graph: dict = {}
+            for node in candidates:
+                group = by_graph.get(node.graph)
+                if group is None:
+                    by_graph[node.graph] = {node}
+                else:
+                    group.add(node)
+            groups = {ref(): group for ref, group in by_graph.items()}
+        graphs = self._visit_order(groups, requested) if len(groups) > 1 else groups
+        mode = self.query_mode
+        greedy = mode is QueryMode.GREEDY
+        rows: list[DirectoryMatch] = []
+        searched = 0
+        for graph in graphs:
+            searched += 1
+            perfect = False
+            for node, distance in graph.search(requested, matcher, mode, groups[graph]).items():
+                perfect = perfect or distance == 0
+                for entry in node.entries:
+                    rows.append(
+                        DirectoryMatch(requested, entry.capability, entry.service_uri, distance)
+                    )
+            if greedy and perfect:
+                break  # a perfect substitute exists; stop visiting graphs
+        rows.sort(key=_rank)
+        if attrs is not None:
+            attrs["candidates"] = attrs["vertices"] if candidates is None else len(candidates)
+            attrs["graphs"] = searched
+            attrs["indexed"] = len(self._graphs)
+            attrs["hits"] = len(rows)
+        return rows
+
+    def _visit_order(self, graphs, requested: Capability) -> list[CapabilityDag]:
+        """``graphs`` in the order a request for ``requested`` visits them
+        (see :meth:`_search`)."""
+        wanted = requested.ontologies()
+        keys = self._graph_keys
+
+        def order(graph: CapabilityDag) -> tuple[bool, int, int]:
+            key, rank = keys[graph]
+            return key != wanted, -len(key & wanted), rank
+
+        return sorted(graphs, key=order)
 
     def describe_info(self) -> dict:
         """Structured backend summary (the normalized ``describe`` schema:
         ``kind``/``services``/``capability_count``/``index`` — asserted
         across all backends by the conformance suite)."""
-        index = (
-            f"{self.graph_count} ontology-indexed graphs, "
-            f"{self.preselection} preselection"
-        )
+        index = f"{self.graph_count} ontology-keyed graphs, one concept index"
         return {
             "kind": type(self).__name__,
             "services": len(self),
@@ -493,7 +506,7 @@ class FlatDirectory:
 
     Args:
         table: code table snapshotting the ontologies in force.
-        use_interval_index: preselect the entries that can match with a
+        use_concept_index: preselect the entries that can match with a
             :class:`~repro.core.capability_graph.ConceptIndex` (the one the
             capability graphs keep) and score them with the subsumer-map
             kernel of :class:`~repro.core.matching.CodeMatcher` over a
@@ -503,9 +516,9 @@ class FlatDirectory:
             per cached capability.
     """
 
-    def __init__(self, table: CodeTable, use_interval_index: bool = True) -> None:
+    def __init__(self, table: CodeTable, use_concept_index: bool = True) -> None:
         self.table = table
-        self.use_interval_index = use_interval_index
+        self.use_concept_index = use_concept_index
         self._entries: dict[int, tuple[Capability, str]] = {}
         self._by_service: dict[str, list[int]] = {}
         self._ids = itertools.count(1)
@@ -575,7 +588,7 @@ class FlatDirectory:
 
     def query_batch(self, requests: Iterable[ServiceRequest]) -> list[list[DirectoryMatch]]:
         """Answer many requests with one matcher; per-request results."""
-        if self.use_interval_index:
+        if self.use_concept_index:
             cache = self.distance_cache
             # Cached maps are pure functions of the table snapshot (§3.2),
             # as in :meth:`SemanticDirectory._matcher`.
@@ -596,7 +609,7 @@ class FlatDirectory:
             for requested in request.capabilities:
                 candidates = (
                     self._index.candidates(requested, matcher)
-                    if self.use_interval_index
+                    if self.use_concept_index
                     else None
                 )
                 hits = []
@@ -605,7 +618,7 @@ class FlatDirectory:
                     distance = matcher.semantic_distance(capability, requested)
                     if distance is not None:
                         hits.append(DirectoryMatch(requested, capability, service_uri, distance))
-                hits.sort(key=lambda m: (m.distance, m.service_uri, m.capability.uri))
+                hits.sort(key=_rank)
                 results.extend(hits)
         return results
 
@@ -621,7 +634,7 @@ class FlatDirectory:
         ``kind``/``services``/``capability_count``/``index``)."""
         index = (
             "concept-indexed, subsumer-map kernel"
-            if self.use_interval_index
+            if self.use_concept_index
             else "linear-scan, scalar matcher"
         )
         return {

@@ -100,9 +100,9 @@ class Matcher:
     def subsumers(self, concept: str) -> dict[str, int] | None:
         """``{over: d(over, concept)}`` for every concept this matcher can
         pair with ``concept`` on the subsuming side, or ``None`` when the
-        matcher cannot enumerate them.  Capability graphs preselect their
-        candidate vertices from these maps
-        (:meth:`repro.core.capability_graph.CapabilityDag.query`); the
+        matcher cannot enumerate them.  Directories preselect their
+        candidates from these maps
+        (:meth:`repro.core.capability_graph.ConceptIndex.candidates`); the
         base class enumerates nothing, so they scan every vertex."""
         return None
 
@@ -252,10 +252,10 @@ class CodeMatcher(Matcher):
     by a later matcher (the next query) is not compiled
     again.
 
-    :meth:`subsumers` hands the same maps to capability graphs for
-    candidate preselection: the cached ones with a cache, maps computed
-    from the table without one (memoized per matcher either way), and none
-    for a matcher whose embedded codes shadow the table.
+    :meth:`subsumers` hands the same maps to the directories' concept
+    indexes for candidate preselection: the cached ones with a cache,
+    maps computed from the table without one (memoized per matcher either
+    way), and none for a matcher whose embedded codes shadow the table.
 
     The per-pair evaluation (:meth:`Matcher.match_outcome`, the oracle the
     kernel must agree with) answers everything else: pairings and degrees,
@@ -310,17 +310,14 @@ class CodeMatcher(Matcher):
         # under an equal object: held so their ids stay unique while the
         # ``_compiled`` keys refer to them.
         self._held: list[Capability] = []
-        # The maps handed to capability graphs, fetched once per matcher
-        # (every graph a request visits asks for the same few).
+        # The maps handed to concept indexes, fetched once per matcher
+        # (the requests of a batch share most of their concepts).
         self._maps: dict[str, dict[str, int]] = {}
 
     def lookup(self, concept: str) -> ConceptCode | None:
         """The code this matcher uses for ``concept`` (embedded codes
-        shadow the table), or ``None`` when neither source covers it.
-
-        Public because the interval-index test oracle
-        (:class:`repro.core.interval_index.CandidateIndex`) must preselect
-        with exactly the resolution the confirming matcher will use.
+        shadow the table), or ``None`` when neither source covers it: the
+        resolution every per-pair distance of this matcher uses.
         """
         code = self._extra.get(concept)
         if code is not None:

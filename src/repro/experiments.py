@@ -295,7 +295,7 @@ def fig9_match_request(
         # third column shows the same flat directory on its default path, a
         # concept index and the subsumer-map kernel (docs/PERFORMANCE.md):
         # identical results, fewer semantic matches.
-        flat = FlatDirectory(table, use_interval_index=False)
+        flat = FlatDirectory(table, use_concept_index=False)
         flat_indexed = FlatDirectory(table)
         profiles = [workload.make_service(index) for index in range(size)]
         classified.publish_batch(profiles)

@@ -318,8 +318,9 @@ class TestTextRendering:
 class TestConceptIndex:
     """The concept index (vertices by representative output and property
     concept) through random insert/remove sequences: it stays equal to one
-    rebuilt from the surviving vertices, selects what the interval index
-    over the same vertices selects, and changes no answer.  A flat
+    rebuilt from the surviving vertices, selects what a brute-force
+    pairwise code subsumption test over the same vertices selects, and
+    changes no answer.  A flat
     directory fed the same sequence keeps the same kind of index over its
     entries, with the same guarantees against its linear scan."""
 
@@ -344,10 +345,32 @@ class TestConceptIndex:
         properties: dict[str, set[int]] = {}
         for node in dag.nodes():
             for concept in node.representative.outputs:
-                outputs.setdefault(concept, set()).add(node.node_id)
+                outputs.setdefault(concept, set()).add(node)
             for concept in node.representative.properties:
-                properties.setdefault(concept, set()).add(node.node_id)
+                properties.setdefault(concept, set()).add(node)
         return outputs, properties
+
+    @staticmethod
+    def _covered(table, items, requested):
+        """Brute-force candidates: the items whose capability holds, for
+        every requested output (property), a provided output (property)
+        whose table code subsumes it; ``None`` when nothing is requested
+        on either side."""
+        if not requested.outputs and not requested.properties:
+            return None
+
+        def covers(provided, concept):
+            return concept in table and any(
+                over in table and table.code(over).subsumes(table.code(concept))
+                for over in provided
+            )
+
+        return {
+            item
+            for item, capability in items
+            if all(covers(capability.outputs, c) for c in requested.outputs)
+            and all(covers(capability.properties, c) for c in requested.properties)
+        }
 
     @staticmethod
     def _shape(dag):
@@ -369,7 +392,6 @@ class TestConceptIndex:
         self, suite, data, media_table, media_taxonomy, small_table, small_workload
     ):
         from repro.core.directory import FlatDirectory
-        from repro.core.interval_index import CandidateIndex
         from repro.core.matching import CodeMatcher
         from repro.services.profile import ServiceProfile, ServiceRequest
         from repro.util.cache import DistanceCache
@@ -399,7 +421,7 @@ class TestConceptIndex:
         assert matchers["foreign"].subsumers(pool[0]) is None
         dags = {name: CapabilityDag() for name in matchers}
         flat = FlatDirectory(table)
-        linear = FlatDirectory(table, use_interval_index=False)
+        linear = FlatDirectory(table, use_concept_index=False)
         provided: dict[str, list[Capability]] = {}
         for step in range(data.draw(st.integers(1, 14))):
             service = f"urn:x:svc:{data.draw(st.integers(0, 4))}"
@@ -424,22 +446,19 @@ class TestConceptIndex:
         for dag in dags.values():
             assert (dag._index._by_output, dag._index._by_property) == self._rebuilt(dag)
 
-        oracle = CandidateIndex()
-        for node in dags["uncached"].nodes():
-            oracle.insert(node.node_id, node.representative, matchers["uncached"].lookup)
-        flat_oracle = CandidateIndex()
-        for entry_id, (capability, _service) in flat._entries.items():
-            flat_oracle.insert(entry_id, capability, matchers["uncached"].lookup)
+        entries = [(entry_id, capability) for entry_id, (capability, _s) in flat._entries.items()]
         for number in range(data.draw(st.integers(1, 4))):
             requested = self._capability(data, pool, near, f"urn:x:cap:R{number}")
             for name in ("kernel", "uncached"):
                 matcher = matchers[name]
-                assert dags[name]._index.candidates(requested, matcher) == oracle.candidates(
-                    requested, matcher.lookup
+                vertices = [(node, node.representative) for node in dags[name].nodes()]
+                assert dags[name].candidates(requested, matcher) == self._covered(
+                    table, vertices, requested
                 )
-                assert flat._index.candidates(requested, matcher) == flat_oracle.candidates(
-                    requested, matcher.lookup
+                assert flat._index.candidates(requested, matcher) == self._covered(
+                    table, entries, requested
                 )
+            assert dags["foreign"].candidates(requested, matchers["foreign"]) is None
             for mode in QueryMode:
                 answers = [
                     dag.query(requested, matchers[name], mode) for name, dag in dags.items()
@@ -451,6 +470,74 @@ class TestConceptIndex:
             matchers["kernel"].stats.capability_matches
             == matchers["uncached"].stats.capability_matches
         )
+
+    def test_no_outputs_or_properties_means_no_filtering(self, small_workload, small_table):
+        from repro.core.capability_graph import ConceptIndex
+        from repro.core.matching import CodeMatcher
+
+        capability = small_workload.make_service(0).provided[0]
+        index = ConceptIndex()
+        index.add(1, capability)
+        bare = capability.build(uri="urn:repro:req", name="bare", inputs=["urn:x#i"])
+        assert index.candidates(bare, CodeMatcher(table=small_table)) is None
+
+    def test_unknown_requested_concept_yields_empty(self, small_workload, small_table):
+        from repro.core.capability_graph import ConceptIndex
+        from repro.core.matching import CodeMatcher
+
+        capability = small_workload.make_service(0).provided[0]
+        index = ConceptIndex()
+        index.add(1, capability)
+        alien = capability.build(
+            uri="urn:repro:req", name="alien", outputs=["http://nowhere.example#Thing"]
+        )
+        assert index.candidates(alien, CodeMatcher(table=small_table)) == set()
+
+    def test_unresolvable_provider_left_to_the_full_scan(self, small_workload, small_table):
+        """A capability whose concepts the table lacks can match only
+        through codes a document embeds; a matcher holding such codes gives
+        no subsumer maps, so the index never filters it out."""
+        from repro.core.capability_graph import ConceptIndex
+        from repro.core.matching import CodeMatcher
+
+        known = small_workload.make_service(0).provided[0]
+        index = ConceptIndex()
+        index.add(1, known)
+        opaque_output = "http://elsewhere.example#Out"
+        opaque = known.build(uri="urn:repro:opaque", name="opaque", outputs=[opaque_output])
+        index.add(2, opaque)
+        requested = known.build(uri="urn:repro:req", name="req", outputs=[opaque_output])
+        stand_in = dataclasses.replace(
+            small_table.code(sorted(known.outputs)[0]), uri=opaque_output
+        )
+        embedded = CodeMatcher(table=small_table, extra_codes={opaque_output: stand_in})
+        assert index.candidates(requested, embedded) is None
+        assert index.candidates(requested, CodeMatcher(table=small_table)) == set()
+
+    def test_candidates_superset_of_matches(self, small_workload, small_table):
+        """Soundness: every capability the matcher accepts is a candidate."""
+        from repro.core.capability_graph import ConceptIndex
+        from repro.core.matching import CodeMatcher
+
+        matcher = CodeMatcher(table=small_table)
+        index = ConceptIndex()
+        capabilities = {}
+        for i in range(40):
+            for capability in small_workload.make_service(i).provided:
+                item_id = len(capabilities)
+                capabilities[item_id] = capability
+                index.add(item_id, capability)
+        for probe in range(8):
+            request = small_workload.matching_request(small_workload.make_service(probe))
+            for requested in request.capabilities:
+                candidates = index.candidates(requested, matcher)
+                accepted = {
+                    item_id
+                    for item_id, capability in capabilities.items()
+                    if matcher.match(capability, requested)
+                }
+                assert candidates is not None and accepted <= candidates
+                assert accepted
 
     def test_descend_span_reports_candidates(self, media_table):
         from repro.core.matching import CodeMatcher

@@ -1,5 +1,7 @@
 """Tests for the semantic directory (§3.3) and the flat baseline (Fig. 9)."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from repro.core.codes import StaleCodesError
 from repro.core.directory import FlatDirectory, SemanticDirectory
 from repro.core.capability_graph import QueryMode
+from repro.core.matching import CodeMatcher
 from repro.services.profile import Capability, ServiceProfile, ServiceRequest
 from repro.services.xml_codec import ServiceSyntaxError, profile_to_xml, request_to_xml
 
@@ -120,14 +123,19 @@ class TestQuery:
 
     def test_graph_preselection_filters_foreign_ontologies(self, media_table):
         """The paper's DAG2/O3 example: graphs sharing no ontology with the
-        request are never searched."""
+        request are never searched, whether the concept index answers (no
+        code, no candidate) or the request's embedded codes leave the
+        directory without subsumer maps."""
         directory = SemanticDirectory(media_table)
         directory.publish(workstation())
-        foreign = Capability.build(
-            "urn:x:req:foreign", "F", outputs=["http://elsewhere.org/onto#Thing2"]
-        )
+        thing = "http://elsewhere.org/onto#Thing2"
+        foreign = Capability.build("urn:x:req:foreign", "F", outputs=[thing])
         request = ServiceRequest(uri="urn:x:req:f", capabilities=(foreign,))
+        embedded = {thing: dataclasses.replace(media_table.code(r("Stream")), uri=thing)}
+        before = directory.stats.capability_matches
         assert directory.query(request) == []
+        assert directory.query(request, embedded) == []
+        assert directory.stats.capability_matches == before
 
     def test_empty_directory(self, media_table):
         assert SemanticDirectory(media_table).query(video_request()) == []
@@ -231,7 +239,7 @@ def _rows(matches) -> list[tuple[str, str, int]]:
 def _pair(table, profiles=()):
     """A kernel-path and a linear-scan flat directory holding ``profiles``."""
     kernel = FlatDirectory(table)
-    linear = FlatDirectory(table, use_interval_index=False)
+    linear = FlatDirectory(table, use_concept_index=False)
     kernel.publish_batch(profiles)
     linear.publish_batch(profiles)
     return kernel, linear
@@ -252,7 +260,7 @@ class TestFlatKernelEqualsLinear:
 
     def test_batch_query_equals_linear(self, small_workload, small_table):
         batched = FlatDirectory(small_table)
-        linear = FlatDirectory(small_table, use_interval_index=False)
+        linear = FlatDirectory(small_table, use_concept_index=False)
         profiles = [small_workload.make_service(i) for i in range(25)]
         batched.publish_batch(profiles)
         linear.publish_batch(profiles)
@@ -331,6 +339,176 @@ class TestFlatKernelEqualsLinear:
         assert kernel.query(request) == linear.query(request)
 
 
+class TestIndexedFlatDirectoryEquality:
+    @pytest.mark.parametrize("seed", [0, 7, 21, 1234])
+    def test_indexed_equals_linear_across_seeds(self, small_workload, small_table, seed):
+        """The headline property: FlatDirectory with the concept index
+        returns exactly the linear scan's result set."""
+        from repro.services.generator import ServiceWorkload
+
+        workload = ServiceWorkload(shape=small_workload.shape, seed=seed)
+        profiles = [workload.make_service(i) for i in range(30)]
+        indexed, linear = _pair(small_table, profiles)
+
+        def canon(matches):
+            return sorted(
+                (m.requested.uri, m.capability.uri, m.service_uri, m.distance)
+                for m in matches
+            )
+
+        for probe in range(10):
+            request = workload.matching_request(workload.make_service(probe))
+            assert canon(indexed.query(request)) == canon(linear.query(request))
+
+    def test_equality_survives_churn(self, small_workload, small_table):
+        profiles = [small_workload.make_service(i) for i in range(20)]
+        indexed, linear = _pair(small_table, profiles)
+        for directory in (linear, indexed):
+            for victim in profiles[::3]:
+                directory.unpublish(victim.uri)
+        request = small_workload.matching_request(profiles[1])
+
+        def canon(matches):
+            return sorted(
+                (m.requested.uri, m.capability.uri, m.service_uri, m.distance)
+                for m in matches
+            )
+
+        assert canon(indexed.query(request)) == canon(linear.query(request))
+
+
+class _NoMaps(CodeMatcher):
+    """A table matcher that hands out no subsumer maps: every graph it
+    queries scans all of its vertices."""
+
+    def subsumers(self, concept):
+        return None
+
+
+def _per_graph_rows(directory, request, mode, shared_only):
+    """The per-graph algorithm the one-probe search replaced, as an oracle.
+
+    For each requested capability: the graphs (only those sharing an
+    ontology with it when ``shared_only``) keyed by exactly its ontologies
+    first, then by decreasing overlap, then in creation order; each graph
+    queried on its own over all its vertices; in greedy mode, no graph
+    after the first whose hits so far include a perfect match.
+    """
+    matcher = _NoMaps(table=directory.table)
+    rows = []
+    for requested in request.capabilities:
+        wanted = requested.ontologies()
+        graphs = [
+            (key, graph)
+            for key, graph in directory.graphs().items()
+            if key & wanted or not shared_only
+        ]
+        graphs.sort(key=lambda item: (item[0] != wanted, -len(item[0] & wanted)))
+        hits = []
+        for _key, graph in graphs:
+            hits.extend(graph.query(requested, matcher, mode))
+            if mode is QueryMode.GREEDY and any(hit.distance == 0 for hit in hits):
+                break
+        hits.sort(key=lambda m: (m.distance, m.service_uri, m.capability.uri))
+        rows.extend((requested.uri, m.service_uri, m.capability.uri, m.distance) for m in hits)
+    return rows
+
+
+class TestOneProbeEqualsPerGraph:
+    """``SemanticDirectory`` answers each requested capability with one
+    probe of its directory-wide concept index and one search over the
+    graphs holding candidates.  Through random publish/withdraw churn its
+    rows equal the per-graph algorithm's, in both query modes.  Subsumer
+    maps are exact across ontologies (``owl:Thing`` subsumes every
+    concept), so on the concept-index path every graph is a candidate;
+    without maps (a foreign embedded code, or a request naming neither
+    outputs nor properties) only the graphs sharing an ontology with the
+    request are, as in the paper's DAG2/O3 example."""
+
+    FOREIGN = "http://nowhere.org/o#Unencoded"
+
+    @staticmethod
+    def _capability(data, pool, near, uri):
+        fields = {}
+        for field, most in (("inputs", 2), ("outputs", 2), ("properties", 2)):
+            fields[field] = [
+                data.draw(st.sampled_from(near if data.draw(st.integers(0, 3)) else pool))
+                for _ in range(data.draw(st.integers(0, most)))
+            ]
+        return Capability.build(uri, uri.rsplit(":", 1)[-1], **fields)
+
+    @pytest.mark.parametrize("suite", ["media", "small"])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_churn_rows_equal_per_graph_oracle(
+        self, suite, data, media_table, media_taxonomy, small_table, small_workload
+    ):
+        table, taxonomy = (
+            (media_table, media_taxonomy)
+            if suite == "media"
+            else (small_table, small_workload.taxonomy)
+        )
+        pool = sorted(c for c in taxonomy.concepts() if c in table)
+        anchors = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
+        near = sorted(
+            {
+                c
+                for anchor in anchors
+                for c in taxonomy.ancestors(anchor) | taxonomy.children(anchor) | {anchor}
+                if c in table
+            }
+        )
+        directories = {mode: SemanticDirectory(table, query_mode=mode) for mode in QueryMode}
+        published: list[Capability] = []
+        for step in range(data.draw(st.integers(1, 16))):
+            service = f"urn:x:svc:{data.draw(st.integers(0, 5))}"
+            if data.draw(st.integers(0, 3)) == 0:
+                for directory in directories.values():
+                    directory.unpublish(service)
+                continue
+            provided = tuple(
+                self._capability(data, pool, near, f"urn:x:cap:C{step}.{number}")
+                for number in range(data.draw(st.integers(1, 2)))
+            )
+            published.extend(provided)
+            profile = ServiceProfile(uri=service, name=service, provided=provided)
+            for directory in directories.values():
+                directory.publish(profile)
+        stand_in = dataclasses.replace(table.code(pool[0]), uri=self.FOREIGN)
+        for number in range(data.draw(st.integers(1, 4))):
+            if published and data.draw(st.booleans()):
+                # An advertised capability, offered extra inputs, asks for a
+                # perfect match; the extra inputs' ontologies can move it
+                # out of the graph keyed by exactly the request's ones.
+                advertised = data.draw(st.sampled_from(published))
+                extra = data.draw(st.lists(st.sampled_from(pool), max_size=2))
+                requested = Capability.build(
+                    f"urn:x:cap:R{number}",
+                    f"R{number}",
+                    inputs=sorted(advertised.inputs | set(extra)),
+                    outputs=sorted(advertised.outputs),
+                    properties=sorted(advertised.properties),
+                )
+            else:
+                requested = self._capability(data, pool, near, f"urn:x:cap:R{number}")
+            request = ServiceRequest(uri=f"urn:x:req:R{number}", capabilities=(requested,))
+            for mode, directory in directories.items():
+
+                def rows(matches):
+                    return [
+                        (m.requested.uri, m.service_uri, m.capability.uri, m.distance)
+                        for m in matches
+                    ]
+
+                no_maps = not (requested.outputs or requested.properties)
+                assert rows(directory.query(request)) == _per_graph_rows(
+                    directory, request, mode, shared_only=no_maps
+                )
+                assert rows(directory.query(request, {self.FOREIGN: stand_in})) == (
+                    _per_graph_rows(directory, request, mode, shared_only=True)
+                )
+
+
 class TestEngineCacheCoherence:
     """The kernel path's concept index and distance cache outlive single
     queries: a publish or an unpublish storm must reach them, so a query
@@ -369,7 +547,7 @@ class TestEngineCacheCoherence:
         exactly like a scalar directory fed the same ops, with a query
         (cache warm) forced between every mutation."""
         cached = FlatDirectory(small_table)
-        scalar = FlatDirectory(small_table, use_interval_index=False)
+        scalar = FlatDirectory(small_table, use_concept_index=False)
         request = small_workload.matching_request(small_workload.make_service(0))
         for is_publish, index in ops:
             profile = small_workload.make_service(index)

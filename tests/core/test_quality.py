@@ -32,7 +32,7 @@ class TestRelevanceLabels:
     def test_labels_agree_with_exhaustive_backend(
         self, small_workload, small_table, profiles
     ):
-        directory = FlatDirectory(small_table, use_interval_index=False)
+        directory = FlatDirectory(small_table, use_concept_index=False)
         directory.publish_batch(profiles)
         for i in range(0, 20, 3):
             request = small_workload.matching_request(profiles[i])
@@ -84,7 +84,7 @@ class TestBackendScoring:
     def test_exhaustive_backend_scores_perfect(
         self, small_workload, small_table, profiles
     ):
-        directory = FlatDirectory(small_table, use_interval_index=False)
+        directory = FlatDirectory(small_table, use_concept_index=False)
         directory.publish_batch(profiles)
         for i in range(0, 20, 4):
             request = small_workload.matching_request(profiles[i])

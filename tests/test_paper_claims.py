@@ -8,9 +8,9 @@ top to bottom is reading the paper's claims being checked.
 
 import pytest
 
-from repro.core.capability_graph import CapabilityDag, QueryMode
+from repro.core.capability_graph import CapabilityDag
 from repro.core.codes import CodeTable, StaleCodesError
-from repro.core.directory import SemanticDirectory
+from repro.core.directory import FlatDirectory, SemanticDirectory
 from repro.core.matching import CodeMatcher, TaxonomyMatcher
 from repro.ontology.registry import OntologyRegistry
 from repro.services.profile import Capability, ServiceProfile, ServiceRequest
@@ -210,15 +210,19 @@ class TestSection3Claims:
         the capabilities ... rather than ... all the capabilities hosted by
         a directory.'"""
         directory = SemanticDirectory(small_table)
+        flat = FlatDirectory(small_table, use_concept_index=False)
         services = small_workload.make_services(30)
         for profile in services:
             directory.publish(profile)
+            flat.publish(profile)
         request = small_workload.matching_request(services[0])
-        matcher = CodeMatcher(table=small_table)
-        for capability in request.capabilities:
-            for graph in directory._candidate_graphs(capability):
-                graph.query(capability, matcher, QueryMode.GREEDY)
-        assert matcher.stats.capability_matches < directory.capability_count
+        before = directory.stats.capability_matches
+        answers = directory.query(request)
+        used = directory.stats.capability_matches - before
+        assert answers and answers[0].service_uri == services[0].uri
+        assert flat.query(request)
+        assert used < flat.stats.capability_matches
+        assert flat.stats.capability_matches == flat.capability_count * len(request.capabilities)
 
     def test_insertion_work_independent_of_directory_size(self, small_workload, small_table):
         """'The number of semantic matches performed ... to insert a
@@ -291,8 +295,6 @@ class TestSection5Claims:
         """'Selecting the advertisement whose description best fits the
         user's requirements' — the optimized query loses nothing on this
         workload."""
-        from repro.core.directory import FlatDirectory
-
         classified = SemanticDirectory(small_table)
         flat = FlatDirectory(small_table)
         services = small_workload.make_services(25)

@@ -52,7 +52,6 @@ MANIFEST_SCHEMA = 1
 #: exception — it needs real serve/loadgen processes (ARTIFACTS.md §3).
 BENCH_REPORTS: dict[str, tuple[str, ...]] = {
     "bench_ablation_greedy_vs_exhaustive": ("ablation_greedy_vs_exhaustive",),
-    "bench_ablation_preselection": ("ablation_preselection",),
     "bench_backbone_fastpath": ("backbone_fastpath",),
     "bench_bloom_summaries": ("e10_bloom_summaries",),
     "bench_chaos_recovery": ("chaos_recovery",),
