@@ -19,12 +19,23 @@ ontologies as inputs, one leaf output, like the live benchmark's
 spans all of its capability graphs.  Their rows must agree (greedy mode
 may stop early only on a perfect match).
 
+A third table times soft-state re-publication on the live benchmark's
+catalog (4096 annotated advertisements at seed 7, the documents a
+``repro.cli serve`` directory receives): every document is published
+once, then each is published again, which withdraws the held copy and
+classifies the new one.  It reports microseconds per service (median of
+``REPUBLISH_PASSES`` passes) and the semantic matches per capability
+insertion, a deterministic counter (docs/PERFORMANCE.md,
+*Subsumee-direction pruning at insertion*).
+
 Gates (hard asserts, also exported for ``obs regress``):
 
 * batch and scalar return identical match sets at every co-measured size;
 * batch is ≥ 3× faster than scalar at 10⁴ capabilities;
 * batch per-query latency stays within 20× from 10² to the largest size
-  measured (near-flat on log-log; the scalar path grows ~100× per decade).
+  measured (near-flat on log-log; the scalar path grows ~100× per decade);
+* re-publication runs fewer than one semantic match per insertion (one
+  per leaf of the target graph, ~17, before insertion was prefiltered).
 
 Smoke mode (``REPRO_BENCH_SMOKE=1``) sweeps 10²–10⁴; the full run adds
 10⁵, and ``REPRO_BENCH_XL=1`` adds 10⁶ (minutes of publish time alone).
@@ -33,12 +44,15 @@ Smoke mode (``REPRO_BENCH_SMOKE=1``) sweeps 10²–10⁴; the full run adds
 from __future__ import annotations
 
 import os
+import statistics
 import time
 
 from benchmarks._report import save_report
 from repro.core.codes import CodeTable
 from repro.core.directory import FlatDirectory, SemanticDirectory
 from repro.ontology.registry import OntologyRegistry
+from repro.protocols.deployment import DeploymentConfig
+from repro.protocols.live_deploy import annotated_profile_doc, build_catalog
 from repro.services.generator import ServiceWorkload, WorkloadShape
 from repro.services.profile import Capability, ServiceRequest
 
@@ -53,6 +67,10 @@ SCALAR_CAP = 10_000
 #: The size the ≥3× speedup floor is gated at.
 GATE_SIZE = 10_000
 SPEEDUP_FLOOR = 3.0
+#: The re-publication catalog: the live benchmark's seed and size.
+REPUBLISH_SEED = 7
+REPUBLISH_SERVICES = 4096
+REPUBLISH_PASSES = 3
 
 
 def _mean_query_seconds(fn, repeats: int) -> float:
@@ -89,6 +107,38 @@ def _unselective_request(workload: ServiceWorkload) -> ServiceRequest:
         outputs=leaves[0][:1],
     )
     return ServiceRequest(uri="urn:repro:request:u", capabilities=(capability,))
+
+
+def _republish(metrics: dict[str, object]) -> list[str]:
+    """Re-publish the seed-7 catalog; record and gate its cost."""
+    config = DeploymentConfig(node_count=2, protocol="sariadne", seed=REPUBLISH_SEED)
+    workload, table = build_catalog(config)
+    catalog = [annotated_profile_doc(workload, table, i) for i in range(REPUBLISH_SERVICES)]
+    inserts = sum(len(profile.provided) for profile, _document in catalog)
+    directory = SemanticDirectory(table)
+    for _profile, document in catalog:
+        directory.publish_xml(document)
+    timings = []
+    for _ in range(REPUBLISH_PASSES):
+        before = directory.stats.capability_matches
+        start = time.perf_counter()
+        for _profile, document in catalog:
+            directory.publish_xml(document)
+        timings.append((time.perf_counter() - start) / REPUBLISH_SERVICES)
+        matches = directory.stats.capability_matches - before
+    per_service_us = statistics.median(timings) * 1e6
+    per_insert = matches / inserts
+    metrics["republish_us_per_service"] = per_service_us
+    metrics["republish_matches_per_insert"] = per_insert
+    assert per_insert < 1.0, (
+        f"re-publication ran {per_insert:.2f} semantic matches per insertion"
+    )
+    return [
+        f"re-publication, seed-{REPUBLISH_SEED} catalog of {REPUBLISH_SERVICES} services "
+        f"({inserts} capabilities), median of {REPUBLISH_PASSES} passes:",
+        f"{per_service_us:.1f} us per service, {matches} semantic matches "
+        f"({per_insert:.3f} per insertion)",
+    ]
 
 
 def test_match_scaling_report():
@@ -189,11 +239,15 @@ def test_match_scaling_report():
     lines.append("")
     lines.append("unselective request (every leaf of two ontologies in, one leaf out):")
     lines.extend(unselective_lines)
+    lines.append("")
+    lines.extend(_republish(metrics))
 
     units = {
         name: "ratio" if "speedup" in name or "growth" in name else "seconds"
         for name in metrics
     }
+    units["republish_us_per_service"] = "us"
+    units["republish_matches_per_insert"] = "matches"
     save_report(
         "match_scaling",
         "\n".join(lines),
@@ -203,6 +257,8 @@ def test_match_scaling_report():
             "seed": 42,
             "smoke": SMOKE,
             "scalar_cap": SCALAR_CAP,
+            "republish_seed": REPUBLISH_SEED,
+            "republish_services": REPUBLISH_SERVICES,
         },
         units=units,
     )

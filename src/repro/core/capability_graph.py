@@ -30,7 +30,11 @@ insertion it sketches — find the *minimal subsumers* with a pruned
 top-down search from the roots and the *maximal subsumees* with a pruned
 bottom-up search from the leaves, then rewire the transitive reduction.
 Both prunings are sound because ``Match`` is transitive (a property test
-verifies transitivity of the implemented relation).
+verifies transitivity of the implemented relation).  The bottom-up search
+is prefiltered from the matcher's subsumee sets
+(:meth:`repro.core.matching.Matcher.subsumees`): a vertex whose outputs or
+properties the newcomer's cannot all cover is rejected without a semantic
+match, so a publication runs matches only on the vertices it may subsume.
 
 Deviations from the paper, by necessity:
 
@@ -199,6 +203,22 @@ class ConceptIndex:
         )
 
 
+def _covers(capability: Capability, matcher: Matcher) -> tuple[set[str], set[str]] | None:
+    """The union of the subsumee sets of ``capability``'s outputs, and of
+    its properties: the concepts a capability it subsumes may hold in each
+    field.  ``None`` when the matcher hands out no sets."""
+    covers = []
+    for concepts in (capability.outputs, capability.properties):
+        cover: set[str] = set()
+        for concept in concepts:
+            subsumees = matcher.subsumees(concept)
+            if subsumees is None:
+                return None
+            cover |= subsumees
+        covers.append(cover)
+    return covers[0], covers[1]
+
+
 def _indexed(item_sets: list[set]) -> int:
     """Items indexed under a requested concept's subsumers (with repeats)."""
     return sum(map(len, item_sets))
@@ -230,6 +250,9 @@ class CapabilityDag:
         # restricted to.
         self._vertices: set[DagNode] = set()
         self._ids = itertools.count(1)
+        # The ids of the vertices holding an entry of each service, for
+        # withdrawal; a tuple, since most services hold one vertex a graph.
+        self._by_service: dict[str, tuple[int, ...]] = {}
         self._index = ConceptIndex() if index is None else index
         self._ref = weakref.ref(self)
         self.obs = NULL_OBS
@@ -290,12 +313,16 @@ class CapabilityDag:
         )
         if equal is not None:
             self._nodes[equal].entries.append(DagEntry(capability, service_uri))
+            held = self._by_service.get(service_uri, ())
+            if equal not in held:
+                self._by_service[service_uri] = (*held, equal)
             return equal
         lowers = self._maximal_subsumees(capability, matcher)
 
         node = DagNode(node_id=next(self._ids), representative=capability, graph=self._ref)
         node.entries.append(DagEntry(capability, service_uri))
         self._nodes[node.node_id] = node
+        self._by_service[service_uri] = (*self._by_service.get(service_uri, ()), node.node_id)
         self._vertices.add(node)
         self._index.add(node, capability)
 
@@ -376,16 +403,28 @@ class CapabilityDag:
         """Vertices N with ``Match(capability, N)`` maximal in the order.
 
         Bottom search from the leaves: subsumees are descendant-closed, so
-        parents of a non-subsumed vertex are never subsumed.
+        parents of a non-subsumed vertex are never subsumed.  ``Match``
+        needs each output (property) of N covered by an output (property)
+        of ``capability``, so when the matcher hands out subsumee sets a
+        vertex holding a concept outside their union is rejected by one
+        subset test instead of a semantic match.
         """
+        covers = _covers(capability, matcher)
+        nodes = self._nodes
         matching_memo: dict[int, bool] = {}
 
         def matches(node_id: int) -> bool:
-            if node_id not in matching_memo:
-                matching_memo[node_id] = matcher.match(
-                    capability, self._nodes[node_id].representative
-                )
-            return matching_memo[node_id]
+            found = matching_memo.get(node_id)
+            if found is None:
+                representative = nodes[node_id].representative
+                found = matching_memo[node_id] = (
+                    covers is None
+                    or (
+                        representative.outputs <= covers[0]
+                        and representative.properties <= covers[1]
+                    )
+                ) and matcher.match(capability, representative)
+            return found
 
         result: set[int] = set()
         stack = [node.node_id for node in self.leaves() if matches(node.node_id)]
@@ -395,7 +434,7 @@ class CapabilityDag:
             if node_id in seen:
                 continue
             seen.add(node_id)
-            wider = [p for p in self._nodes[node_id].parents if matches(p)]
+            wider = [p for p in nodes[node_id].parents if matches(p)]
             if wider:
                 stack.extend(wider)
             else:
@@ -408,15 +447,14 @@ class CapabilityDag:
     def remove_service(self, service_uri: str) -> int:
         """Withdraw every capability advertised by ``service_uri``.
 
-        Returns the number of entries removed.  Vertices left empty are
+        Returns the number of entries removed.  Only the vertices holding
+        the service's entries are visited.  Vertices left empty are
         deleted and their parents re-linked to their children where no
         alternative path exists (keeping the transitive reduction).
         """
         removed = 0
-        for node_id in [nid for nid, n in self._nodes.items()]:
-            node = self._nodes.get(node_id)
-            if node is None:
-                continue
+        for node_id in sorted(self._by_service.pop(service_uri, ())):
+            node = self._nodes[node_id]
             before = len(node.entries)
             node.entries = [e for e in node.entries if e.service_uri != service_uri]
             removed += before - len(node.entries)

@@ -16,7 +16,7 @@ document with a different version are rejected with
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from repro.core.encoding import EncodedConcept, Interval, IntervalEncoder
@@ -139,11 +139,14 @@ class CodeTable:
         self._init_memos()
 
     def _init_memos(self) -> None:
-        # Derived from _codes on first use, never at load (see subsumers
-        # and resolve_annotations).
+        # Derived from _codes on first use, never at load (see subsumers,
+        # subsumees and resolve_annotations).
         self._wire: dict[str, str] = {}
         self._spans: list[tuple[float, float, str, ConceptCode]] | None = None
         self._span_los: list[float] = []
+        self._trees: list[tuple[float, float, str]] | None = None
+        self._tree_los: list[float] = []
+        self._subsumees: dict[str, frozenset[str]] = {}
 
     # ------------------------------------------------------------------
     # Lookup
@@ -207,6 +210,38 @@ class CodeTable:
             for _lo, span_hi, uri, code in self._spans[: bisect_right(self._span_los, lo)]
             if hi <= span_hi and (distance := code.distance_to(target)) is not None
         }
+
+    def subsumees(self, concept_uri: str) -> frozenset[str]:
+        """Every table concept whose code ``concept_uri``'s code subsumes
+        (itself included); empty for a concept the table lacks.  The
+        converse of :meth:`subsumers`: ``c in subsumees(a)`` iff ``a in
+        subsumers(c)``.  Memoized per concept: the sets are small and a
+        function of this snapshot alone.
+
+        The tree intervals are kept sorted by their low end; per interval
+        of the concept's code, a bisection finds the concepts whose tree
+        interval starts inside it, and each is confirmed by the tree
+        interval's high end (the test :meth:`ConceptCode.subsumes` makes).
+        """
+        found = self._subsumees.get(concept_uri)
+        if found is not None:
+            return found
+        target = self._codes.get(concept_uri)
+        if target is None:
+            return frozenset()
+        if self._trees is None:
+            self._trees = sorted(
+                (code.tree_lo, code.tree_hi, uri) for uri, code in self._codes.items()
+            )
+            self._tree_los = [tree[0] for tree in self._trees]
+        trees, los = self._trees, self._tree_los
+        found = self._subsumees[concept_uri] = frozenset(
+            uri
+            for lo, hi in target.code
+            for _lo, tree_hi, uri in trees[bisect_left(los, lo) : bisect_left(los, hi)]
+            if tree_hi <= hi
+        )
+        return found
 
     # ------------------------------------------------------------------
     # Document annotation (§3.2: advertisements/requests carry codes)

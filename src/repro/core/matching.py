@@ -106,6 +106,16 @@ class Matcher:
         base class enumerates nothing, so they scan every vertex."""
         return None
 
+    def subsumees(self, concept: str) -> frozenset[str] | None:
+        """The concepts this matcher pairs with ``concept`` on the
+        subsumed side (``concept`` itself included), or ``None`` when the
+        matcher cannot enumerate them.  Capability graphs prefilter the
+        vertices a new capability may subsume with these sets
+        (:meth:`repro.core.capability_graph.CapabilityDag.insert`); the
+        base class enumerates nothing, so they match every vertex their
+        search reaches."""
+        return None
+
     def concept_degree(self, provided: str, requested: str) -> "MatchDegree":
         """Paolucci-style degree for one requested/provided concept pair."""
         down = self._d(provided, requested)  # provided ⊒ requested?
@@ -256,6 +266,9 @@ class CodeMatcher(Matcher):
     indexes for candidate preselection: the cached ones with a cache,
     maps computed from the table without one (memoized per matcher either
     way), and none for a matcher whose embedded codes shadow the table.
+    :meth:`subsumees` answers the converse direction for the same
+    matchers, from the table's memo, to prefilter what a new capability
+    in a graph can subsume.
 
     The per-pair evaluation (:meth:`Matcher.match_outcome`, the oracle the
     kernel must agree with) answers everything else: pairings and degrees,
@@ -281,9 +294,9 @@ class CodeMatcher(Matcher):
         stats: shared counter object (see :class:`Matcher`).
         share_compiled: keep compiled requested capabilities in ``cache``
             (kernel matchers only).  The directory sets it on the query
-            path, where a few hundred distinct requests recur; publication
-            compiles every stored capability it inserts past, which would
-            grow the cache with the catalog.
+            path, where a few hundred distinct requests recur.  Publication
+            compiles the stored capabilities its insertion matches on the
+            requested side, which would grow the cache with the catalog.
     """
 
     def __init__(
@@ -374,6 +387,13 @@ class CodeMatcher(Matcher):
                 self._subsumers(concept) if self._kernel else self._table.subsumers(concept)
             )
         return found
+
+    def subsumees(self, concept: str) -> frozenset[str] | None:
+        """``concept``'s subsumee set (see :meth:`Matcher.subsumees`) from
+        the table, which memoizes it, for every table-only matcher, cached
+        or not; ``None`` when embedded codes shadow the table or there is
+        none."""
+        return self._table.subsumees(concept) if self._table_only else None
 
     def _subsumers(self, concept: str) -> dict[str, int]:
         cache = self._cache

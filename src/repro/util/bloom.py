@@ -15,6 +15,7 @@ over WSDL keywords.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from array import array
@@ -30,16 +31,21 @@ def _base_hashes(item: str) -> tuple[int, int]:
     return h1, h2 | 1
 
 
-def item_positions(item: str, m: int, k: int) -> list[int]:
+# A summary's items are ontology sets and ontology URIs, far fewer than
+# the memo holds.
+@functools.lru_cache(maxsize=4096)
+def item_positions(item: str, m: int, k: int) -> tuple[int, ...]:
     """The k probe positions of ``item`` in an (m, k) filter.
 
     Public so batch testers (:class:`repro.core.summaries.SummaryBank`)
     can hash an item *once* per (m, k) parameter group and reuse the
     positions across every peer filter — the per-peer SHA-256 was the
-    dominant cost of testing one request against N summaries.
+    dominant cost of testing one request against N summaries.  Memoized:
+    a directory's summary adds and removes the same few hundred
+    ontology-set items on every publication and withdrawal.
     """
     h1, h2 = _base_hashes(item)
-    return [(h1 + i * h2) % m for i in range(k)]
+    return tuple((h1 + i * h2) % m for i in range(k))
 
 
 def item_mask(item: str, m: int, k: int) -> int:
@@ -92,7 +98,7 @@ class BloomFilter:
         self._bits = 0
         self._count = 0
 
-    def _positions(self, item: str) -> list[int]:
+    def _positions(self, item: str) -> tuple[int, ...]:
         return item_positions(item, self.m, self.k)
 
     def add(self, item: str) -> None:
@@ -222,7 +228,7 @@ class CountingBloomFilter:
         self._bits = 0
         self._adds = 0
 
-    def _positions(self, item: str) -> list[int]:
+    def _positions(self, item: str) -> tuple[int, ...]:
         return item_positions(item, self.m, self.k)
 
     def add(self, item: str) -> None:

@@ -167,6 +167,45 @@ class TestQuery:
         assert used <= len(dag.nodes()) + 1
 
 
+class TestSubsumeePrefilter:
+    """Insertion matches only the vertices the newcomer may subsume."""
+
+    @pytest.mark.parametrize("cached", [True, False])
+    def test_unrelated_leaves_cost_no_match(self, media_table, cached):
+        from repro.core.matching import CodeMatcher
+        from repro.util.cache import DistanceCache
+
+        matcher = CodeMatcher(table=media_table, cache=DistanceCache() if cached else None)
+        dag = CapabilityDag()
+        for name in ("Title", "Stream", "SoundResource", "GameResource"):
+            dag.insert(cap(name, outputs=[r(name)]), "pad", matcher)
+        assert len(dag.leaves()) == 4
+        before = matcher.stats.capability_matches
+        video = dag.insert(cap("Video", outputs=[r("VideoResource")]), "new", matcher)
+        assert matcher.stats.capability_matches == before
+        assert len(dag.leaves()) == 5 and len(dag.roots()) == 5
+        # A generic newcomer still finds its subsumees: one match for each
+        # leaf whose outputs it covers, none for the others.
+        before = matcher.stats.capability_matches
+        digital = dag.insert(cap("Digital", outputs=[r("DigitalResource")]), "new", matcher)
+        assert matcher.stats.capability_matches - before == 3
+        nodes = {node.representative.name: node for node in dag.nodes()}
+        assert nodes["Digital"].node_id == digital
+        assert {nodes[n].node_id for n in ("SoundResource", "GameResource")} | {video} == (
+            nodes["Digital"].children
+        )
+
+    def test_matcher_without_sets_matches_every_leaf(self, matcher):
+        dag = CapabilityDag()
+        for name in ("Title", "Stream", "SoundResource", "GameResource"):
+            dag.insert(cap(name, outputs=[r(name)]), "pad", matcher)
+        before = matcher.stats.capability_matches
+        dag.insert(cap("Video", outputs=[r("VideoResource")]), "new", matcher)
+        # Each padding vertex is a root and a leaf: matched once by the
+        # top-down and once by the bottom-up search.
+        assert matcher.stats.capability_matches - before == 2 * 4
+
+
 class TestRemoval:
     def test_remove_service_drops_entries(self, fig1_dag):
         removed = fig1_dag.remove_service("urn:x:svc:workstation")
@@ -192,7 +231,21 @@ class TestRemoval:
         assert nodes["Bottom"].parents == {nodes["Top"].node_id}
 
     def test_remove_unknown_service_noop(self, fig1_dag):
+        before = fig1_dag.to_text()
         assert fig1_dag.remove_service("urn:x:svc:nobody") == 0
+        assert fig1_dag.to_text() == before
+
+    def test_merged_vertex_goes_with_its_last_service(self, matcher):
+        dag = CapabilityDag()
+        dag.insert(cap("A", outputs=[r("Stream")]), "svc1", matcher)
+        dag.insert(cap("B", outputs=[r("Stream")]), "svc2", matcher)
+        dag.insert(cap("C", outputs=[r("Stream")]), "svc2", matcher)
+        dag.insert(cap("D", outputs=[r("Title")]), "svc1", matcher)
+        assert dag.remove_service("svc2") == 2
+        assert dag.size == 2 and len(dag) == 2
+        assert dag.remove_service("svc2") == 0
+        assert dag.remove_service("svc1") == 2
+        assert len(dag) == 0
 
 
 class TestDagInvariants:

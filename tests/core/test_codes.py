@@ -52,6 +52,40 @@ class TestNumericSubsumption:
             media_table.code("http://x.org/unknown#C")
 
 
+class TestSubsumees:
+    """``CodeTable.subsumees`` against the per-pair code test it indexes."""
+
+    @staticmethod
+    def _multi_parent_table():
+        onto = generate_ontology(
+            "http://x.org/codes",
+            OntologyShape(concepts=60, properties=10, multi_parent_fraction=0.25),
+            seed=7,
+        )
+        return CodeTable(OntologyRegistry([onto]))
+
+    @pytest.mark.parametrize("suite", ["media", "small", "multi_parent"])
+    def test_equals_brute_force(self, suite, media_table, small_table):
+        table = {
+            "media": media_table,
+            "small": small_table,
+            "multi_parent": self._multi_parent_table(),
+        }[suite]
+        if suite == "multi_parent":
+            taxonomy = table.taxonomy
+            assert any(len(taxonomy.parents(c)) > 1 for c in taxonomy.concepts())
+        concepts = list(table._codes)
+        for concept in concepts:
+            code = table.code(concept)
+            expected = {c for c in concepts if code.subsumes(table.code(c))}
+            assert table.subsumees(concept) == expected, concept
+            assert concept in expected
+            assert all(concept in table.subsumers(c) for c in expected)
+
+    def test_unknown_concept_is_empty(self, media_table):
+        assert media_table.subsumees("http://x.org/unknown#C") == frozenset()
+
+
 class TestNumericDistance:
     def test_tree_distance_exact(self, media_table):
         # The media ontologies are trees: depth difference == level count.

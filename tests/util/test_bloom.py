@@ -1,10 +1,12 @@
 """Tests for the Bloom filter, including the no-false-negative property."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.util.bloom import BloomFilter, optimal_parameters
+from repro.util.bloom import BloomFilter, item_positions, optimal_parameters
 
 
 class TestBasics:
@@ -41,6 +43,19 @@ class TestBasics:
             BloomFilter(m=0, k=1)
         with pytest.raises(ValueError):
             BloomFilter(m=8, k=0)
+
+
+class TestItemPositions:
+    @given(items=st.lists(st.text(max_size=40), min_size=1, max_size=20))
+    @settings(max_examples=30, deadline=None)
+    def test_memo_agrees_with_double_hashing(self, items):
+        for item in items * 2:
+            digest = hashlib.sha256(item.encode("utf-8")).digest()
+            h1 = int.from_bytes(digest[:8], "big")
+            h2 = int.from_bytes(digest[8:16], "big") | 1
+            expected = tuple((h1 + i * h2) % 509 for i in range(5))
+            assert item_positions(item, 509, 5) == expected
+            assert item_positions.__wrapped__(item, 509, 5) == expected
 
 
 class TestNoFalseNegatives:
