@@ -16,8 +16,10 @@ A second table times one *unselective* request (every leaf of two
 ontologies as inputs, one leaf output, like the live benchmark's
 ``broad_match`` mix) on both directory kinds at every size: the flat
 ``batch`` path and ``SemanticDirectory``, whose one concept-index probe
-spans all of its capability graphs.  Their rows must agree (greedy mode
-may stop early only on a perfect match).
+spans all of its capability graphs and whose one pass scores the
+candidates of all of them.  Their rows must agree (greedy mode may drop
+graphs only after a perfect match), and the table also counts the
+semantic matches each kind runs for the request, a deterministic counter.
 
 A third table times soft-state re-publication on the live benchmark's
 catalog (4096 annotated advertisements at seed 7, the documents a
@@ -34,6 +36,8 @@ Gates (hard asserts, also exported for ``obs regress``):
 * batch is ≥ 3× faster than scalar at 10⁴ capabilities;
 * batch per-query latency stays within 20× from 10² to the largest size
   measured (near-flat on log-log; the scalar path grows ~100× per decade);
+* the semantic directory runs no more semantic matches for the
+  unselective request than the flat one, at every size;
 * re-publication runs fewer than one semantic match per insertion (one
   per leaf of the target graph, ~17, before insertion was prefiltered).
 
@@ -153,7 +157,8 @@ def test_match_scaling_report():
         f"{'speedup':>9} {'pruned %':>9}",
     ]
     unselective_lines = [
-        f"{'capabilities':>12} {'flat ms':>12} {'semantic ms':>12} {'rows':>6}",
+        f"{'capabilities':>12} {'flat ms':>12} {'semantic ms':>12} {'rows':>6} "
+        f"{'flat matches':>13} {'semantic matches':>17}",
     ]
     batch_series: dict[int, float] = {}
     scalar_series: dict[int, float] = {}
@@ -204,18 +209,29 @@ def test_match_scaling_report():
             f"{speedup_txt} {pruned_pct:8.1f}%"
         )
 
+        flat_before = batch_dir.stats.capability_matches
         flat_rows = _canon(batch_dir.query(unselective))
+        flat_matches = batch_dir.stats.capability_matches - flat_before
+        semantic_before = semantic_dir.stats.capability_matches
         semantic_rows = _canon(semantic_dir.query(unselective))
+        semantic_matches = semantic_dir.stats.capability_matches - semantic_before
         assert set(semantic_rows) <= set(flat_rows), f"semantic rows not flat rows at {size}"
         assert semantic_rows == flat_rows or any(row[2] == 0 for row in semantic_rows), (
             f"semantic/flat unselective divergence at size {size}"
         )
+        assert semantic_matches <= flat_matches, (
+            f"semantic directory ran {semantic_matches} semantic matches for the "
+            f"unselective request at size {size}, the flat one {flat_matches}"
+        )
+        metrics[f"unselective_flat_matches_{size}"] = flat_matches
+        metrics[f"unselective_semantic_matches_{size}"] = semantic_matches
         flat_s = _mean_query_seconds(lambda: batch_dir.query(unselective), repeats)
         semantic_s = _mean_query_seconds(lambda: semantic_dir.query(unselective), repeats)
         metrics[f"unselective_flat_s_{size}"] = flat_s
         metrics[f"unselective_semantic_s_{size}"] = semantic_s
         unselective_lines.append(
-            f"{size:>12} {flat_s * 1e3:12.3f} {semantic_s * 1e3:12.3f} {len(semantic_rows):>6}"
+            f"{size:>12} {flat_s * 1e3:12.3f} {semantic_s * 1e3:12.3f} {len(semantic_rows):>6} "
+            f"{flat_matches:>13} {semantic_matches:>17}"
         )
 
     # --- gates ---------------------------------------------------------
@@ -243,11 +259,14 @@ def test_match_scaling_report():
     lines.extend(_republish(metrics))
 
     units = {
-        name: "ratio" if "speedup" in name or "growth" in name else "seconds"
+        name: "ratio"
+        if "speedup" in name or "growth" in name
+        else "matches"
+        if "_matches" in name
+        else "seconds"
         for name in metrics
     }
     units["republish_us_per_service"] = "us"
-    units["republish_matches_per_insert"] = "matches"
     save_report(
         "match_scaling",
         "\n".join(lines),

@@ -42,10 +42,11 @@ Deviations from the paper, by necessity:
   mutually *with distance 0*; mutual matches with non-zero distance would
   create a 2-cycle, so we merge on mutual match regardless of distance and
   keep the individual capabilities as separate entries of the vertex;
-* the paper's query returns as soon as one graph yields a match; the
-  directory searches the graphs holding candidates in turn, stops (greedy
-  mode) after the first one with a perfect (distance 0) match, and ranks
-  the entries of every graph searched together.
+* the paper's query visits graphs in turn and returns as soon as one
+  yields a match; the directory scores the candidates of every graph in
+  one pass (:func:`score`), keeps (greedy mode) the hits of the graphs
+  visited up to the first one with a perfect (distance 0) hit, and ranks
+  the entries of every graph kept together.
 """
 
 from __future__ import annotations
@@ -233,6 +234,56 @@ def _narrowed(result: set, item_sets: list[set]) -> set:
 
 
 _NODE_ID = attrgetter("node_id")
+
+
+def score(
+    requested: Capability, matcher: Matcher, mode: QueryMode, candidates: set[DagNode]
+) -> dict[DagNode, int]:
+    """The matching vertices among ``candidates`` with their semantic
+    distances to ``requested``: the one scoring pass of every query.
+
+    ``candidates`` may span graphs (a directory's concept-index probe) and
+    must hold every vertex of theirs that can match.  ``EXHAUSTIVE`` mode
+    scores each of them.  ``GREEDY`` mode (the paper's algorithm) scores
+    the parentless ones; each that matches is a hit and descends, through
+    its children that are candidates too, toward strictly smaller
+    distances, and the vertex the descent ends on is a hit as well.  A
+    candidate with parents is reached only by descent: the matching
+    vertices are ancestor-closed (``Match`` is transitive), so one whose
+    parents are not candidates cannot match.
+    """
+    distance_of = matcher.semantic_distance
+    hits: dict[DagNode, int] = {}
+    if mode is QueryMode.EXHAUSTIVE:
+        for node in candidates:
+            distance = distance_of(node.representative, requested)
+            if distance is not None:
+                hits[node] = distance
+        return hits
+    for root in candidates:
+        if root.parents:
+            continue
+        distance = distance_of(root.representative, requested)
+        if distance is None:
+            continue
+        hits[root] = distance
+        if not distance or not root.children:
+            continue
+        nodes = root.graph()._nodes
+        current = root
+        improved = True
+        while improved and distance > 0:
+            improved = False
+            for child_id in current.children:
+                child = nodes[child_id]
+                if child not in candidates:
+                    continue
+                child_distance = distance_of(child.representative, requested)
+                if child_distance is not None and child_distance < distance:
+                    current, distance = child, child_distance
+                    improved = True
+        hits[current] = distance
+    return hits
 
 
 class CapabilityDag:
@@ -500,78 +551,36 @@ class CapabilityDag:
     ) -> list[GraphMatch]:
         """Find advertised capabilities matching ``requested``.
 
-        Returns matches sorted by ascending semantic distance.  In
-        ``GREEDY`` mode (the paper's algorithm) each root that matches is
-        descended toward strictly smaller distances; in ``EXHAUSTIVE`` mode
-        every vertex is evaluated.
-
-        Both scans are narrowed to the candidate vertices
-        (:meth:`candidates`) when the matcher provides subsumer maps: a
-        vertex outside the set cannot match (its distance would be
-        ``None``), so skipping it changes no result — only the number of
-        semantic matches evaluated.
+        Returns matches sorted by ascending semantic distance, then
+        service and capability URI: :func:`score` over this graph's
+        candidate vertices (:meth:`candidates`) when the matcher provides
+        subsumer maps, over every vertex otherwise.  A vertex outside the
+        candidates cannot match (its distance would be ``None``), so
+        skipping it changes no result — only the number of semantic
+        matches evaluated.
         """
         obs = self.obs
         if not obs.tracing:
-            hits = self.search(requested, matcher, mode, self.candidates(requested, matcher))
+            hits = score(requested, matcher, mode, self._pool(requested, matcher))
         else:
             with obs.span("dag.descend", mode=mode.name.lower(), vertices=len(self._nodes)) as span:
-                candidates = self.candidates(requested, matcher)
-                hits = self.search(requested, matcher, mode, candidates)
-                span.attrs["candidates"] = len(self._nodes if candidates is None else candidates)
+                pool = self._pool(requested, matcher)
+                hits = score(requested, matcher, mode, pool)
+                span.attrs["candidates"] = len(pool)
                 span.attrs["hits"] = len(hits)
         results = [
             GraphMatch(entry.capability, entry.service_uri, distance)
             for node, distance in hits.items()
             for entry in node.entries
         ]
-        results.sort(key=lambda m: (m.distance, m.service_uri))
+        results.sort(key=lambda m: (m.distance, m.service_uri, m.capability.uri))
         return results
 
-    def search(
-        self,
-        requested: Capability,
-        matcher: Matcher,
-        mode: QueryMode,
-        candidates: set[DagNode] | None,
-    ) -> dict[DagNode, int]:
-        """The matching vertices with their semantic distances, in the
-        order found: the greedy descent or the exhaustive scan over this
-        graph's ``candidates`` (every vertex when ``None``)."""
-        if candidates is None:
-            pool = list(self._nodes.values())
-        else:
-            pool = sorted(candidates, key=_NODE_ID)
-        distance_of = matcher.semantic_distance
-        hits: dict[DagNode, int] = {}
-        if mode is QueryMode.EXHAUSTIVE:
-            for node in pool:
-                distance = distance_of(node.representative, requested)
-                if distance is not None:
-                    hits[node] = distance
-            return hits
-        nodes = self._nodes
-        for root in pool:
-            if root.parents:
-                continue
-            distance = distance_of(root.representative, requested)
-            if distance is None:
-                continue
-            current, current_distance = root, distance
-            hits[current] = min(hits.get(current, current_distance), current_distance)
-            improved = True
-            while improved and current_distance > 0:
-                improved = False
-                for child_id in current.children:
-                    child = nodes[child_id]
-                    if candidates is not None and child not in candidates:
-                        continue
-                    child_distance = distance_of(child.representative, requested)
-                    if child_distance is not None and child_distance < current_distance:
-                        current, current_distance = child, child_distance
-                        improved = True
-                hits[current] = min(hits.get(current, current_distance), current_distance)
-        return hits
+    def _pool(self, requested: Capability, matcher: Matcher) -> set[DagNode]:
+        """The vertices a query scores: the candidates, or every vertex
+        when the matcher gives no maps."""
+        candidates = self.candidates(requested, matcher)
+        return self._vertices if candidates is None else candidates
 
     # ------------------------------------------------------------------
     # Introspection rendering

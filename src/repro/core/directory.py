@@ -6,10 +6,10 @@ concepts with the code table, classifies their capabilities into
 :class:`~repro.core.capability_graph.CapabilityDag` graphs *keyed by the
 ontology sets they use*, and answers requests with a handful of numeric
 matches: one directory-wide concept index finds the vertices of every
-graph that can match a requested capability, and only the graphs holding
-them are searched.  :class:`FlatDirectory` is the unclassified baseline of Fig. 9:
-same code-based matching, but no capability graphs: by default the entries
-a concept index preselects are scored by the subsumer-map kernel, and the
+graph that can match a requested capability, and one pass scores them.
+:class:`FlatDirectory` is the unclassified baseline of Fig. 9: same
+code-based matching, but no capability graphs: by default the entries a
+concept index preselects are scored by the subsumer-map kernel, and the
 paper's linear scan stays available (see ``docs/PERFORMANCE.md``).
 
 The query engine shares two directory-owned structures across all the
@@ -34,7 +34,7 @@ from collections.abc import Iterable
 from contextlib import nullcontext
 from dataclasses import dataclass
 
-from repro.core.capability_graph import CapabilityDag, ConceptIndex, DagNode, QueryMode
+from repro.core.capability_graph import CapabilityDag, ConceptIndex, DagNode, QueryMode, score
 from repro.core.codes import CodeTable, StaleCodesError
 from repro.core.matching import CodeMatcher, Matcher, MatcherStats
 from repro.core.summaries import DirectorySummary
@@ -357,56 +357,56 @@ class SemanticDirectory:
         """The ranked matches of one requested capability.
 
         One probe of the directory-wide concept index finds the vertices
-        that can match, and each graph holding some is searched over its
-        own.  Without subsumer maps (embedded foreign codes, a request
-        with neither outputs nor properties) every vertex of the graphs
-        sharing an ontology with the request is a candidate.  Graphs are
-        visited keyed by exactly the request's ontologies first, then by
-        decreasing overlap with them, then in creation order; in greedy
-        mode the first graph with a perfect (distance 0) match ends the
-        visit.  ``attrs`` (a span's) receives the search's sizes.
+        that can match, in whatever graphs hold them, and one pass scores
+        them all (:func:`~repro.core.capability_graph.score`).  Without
+        subsumer maps (embedded foreign codes, a request with neither
+        outputs nor properties) every vertex of the graphs sharing an
+        ontology with the request is scored.  In greedy mode a perfect
+        (distance 0) hit ends the paper's graph visit: of the graphs
+        holding hits, in :meth:`_visit_order`, those after the first with
+        a perfect hit are dropped.  ``attrs`` (a span's) receives the
+        search's sizes.
         """
-        candidates = self._index.candidates(requested, matcher)
-        groups: dict[CapabilityDag, set[DagNode] | None]
-        if candidates is None:
+        pool = self._index.candidates(requested, matcher)
+        if pool is None:
             wanted = requested.ontologies()
-            groups = {graph: None for key, graph in self._graphs.items() if key & wanted}
-        else:
-            by_graph: dict = {}
-            for node in candidates:
-                group = by_graph.get(node.graph)
-                if group is None:
-                    by_graph[node.graph] = {node}
-                else:
-                    group.add(node)
-            groups = {ref(): group for ref, group in by_graph.items()}
-        graphs = self._visit_order(groups, requested) if len(groups) > 1 else groups
-        mode = self.query_mode
-        greedy = mode is QueryMode.GREEDY
-        rows: list[DirectoryMatch] = []
-        searched = 0
-        for graph in graphs:
-            searched += 1
-            perfect = False
-            for node, distance in graph.search(requested, matcher, mode, groups[graph]).items():
-                perfect = perfect or distance == 0
-                for entry in node.entries:
-                    rows.append(
-                        DirectoryMatch(requested, entry.capability, entry.service_uri, distance)
-                    )
-            if greedy and perfect:
-                break  # a perfect substitute exists; stop visiting graphs
+            pool = set().union(
+                *(graph.nodes() for key, graph in self._graphs.items() if key & wanted)
+            )
+        hits = score(requested, matcher, self.query_mode, pool)
+        if self.query_mode is QueryMode.GREEDY and 0 in hits.values():
+            hits = self._up_to_perfect(hits, requested)
+        rows = [
+            DirectoryMatch(requested, entry.capability, entry.service_uri, distance)
+            for node, distance in hits.items()
+            for entry in node.entries
+        ]
         rows.sort(key=_rank)
         if attrs is not None:
-            attrs["candidates"] = attrs["vertices"] if candidates is None else len(candidates)
-            attrs["graphs"] = searched
+            attrs["candidates"] = len(pool)
+            attrs["graphs"] = len({node.graph for node in pool})
             attrs["indexed"] = len(self._graphs)
             attrs["hits"] = len(rows)
         return rows
 
+    def _up_to_perfect(self, hits: dict[DagNode, int], requested: Capability) -> dict:
+        """``hits`` without the graphs visited after the first one holding
+        a perfect hit."""
+        graphs = {node.graph() for node in hits}
+        if len(graphs) == 1:
+            return hits
+        perfect = {node.graph() for node, distance in hits.items() if distance == 0}
+        kept = set()
+        for graph in self._visit_order(graphs, requested):
+            kept.add(graph)
+            if graph in perfect:
+                break
+        return {node: distance for node, distance in hits.items() if node.graph() in kept}
+
     def _visit_order(self, graphs, requested: Capability) -> list[CapabilityDag]:
-        """``graphs`` in the order a request for ``requested`` visits them
-        (see :meth:`_search`)."""
+        """``graphs`` in the order the paper's request visits them: keyed
+        by exactly the requested ontologies first, then by decreasing
+        overlap with them, then in creation order."""
         wanted = requested.ontologies()
         keys = self._graph_keys
 

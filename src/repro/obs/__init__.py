@@ -6,7 +6,7 @@ false-positive rates.  This package gives the stack one first-class
 telemetry layer instead of ad-hoc counters:
 
 * :class:`~repro.obs.spans.Tracer` — hierarchical spans covering parse →
-  concept encoding → Bloom admission → graph selection → DAG descent, plus
+  concept encoding → Bloom admission → capability scoring, plus
   one span per §4 forwarding hop (directory id, hop count, admit/reject
   verdict, cache hit/miss flags), grouped across asynchronous hops by a
   per-query trace id;

@@ -719,7 +719,8 @@ class DirectoryAgentBase(ProtocolAgent):
         partial = bool(pending.outstanding)
         for peer_id in sorted(pending.outstanding):
             self._note_peer_silent(peer_id)
-        ranked = sorted(set(pending.results), key=lambda row: (row[2], row[0]))
+        # Distance, service, capability: a total order over distinct rows.
+        ranked = sorted(set(pending.results), key=lambda row: (row[2], row[0], row[1]))
         obs = self.obs
         context = TraceContext.from_traceparent(pending.trace)
         if obs.tracing:

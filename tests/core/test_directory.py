@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.codes import StaleCodesError
+from repro.core.codes import CodeTable, StaleCodesError
 from repro.core.directory import FlatDirectory, SemanticDirectory
 from repro.core.capability_graph import QueryMode
 from repro.core.matching import CodeMatcher
+from repro.ontology.model import Ontology
+from repro.ontology.registry import OntologyRegistry
 from repro.services.profile import Capability, ServiceProfile, ServiceRequest
 from repro.services.xml_codec import ServiceSyntaxError, profile_to_xml, request_to_xml
 
@@ -377,6 +379,17 @@ class TestIndexedFlatDirectoryEquality:
         assert canon(indexed.query(request)) == canon(linear.query(request))
 
 
+#: A concept no code table holds: embedding a code for it leaves the
+#: directory's matcher without subsumer maps.
+FOREIGN = "http://nowhere.org/o#Unencoded"
+
+
+def _request_rows(matches) -> list[tuple[str, str, str, int]]:
+    """Ranked rows with their requested capability, as :func:`_per_graph_rows`
+    gives them."""
+    return [(m.requested.uri, m.service_uri, m.capability.uri, m.distance) for m in matches]
+
+
 class _NoMaps(CodeMatcher):
     """A table matcher that hands out no subsumer maps: every graph it
     queries scans all of its vertices."""
@@ -507,6 +520,268 @@ class TestOneProbeEqualsPerGraph:
                 assert rows(directory.query(request, {self.FOREIGN: stand_in})) == (
                     _per_graph_rows(directory, request, mode, shared_only=True)
                 )
+
+
+TRI = "http://repro.example.org/tri"
+#: The levels of each of the three ``TRI`` ontologies, most generic first.
+LEVELS = ("Top", "Mid", "Leaf")
+
+
+def t(ontology: str, name: str) -> str:
+    return f"{TRI}/{ontology}#{name}"
+
+
+@pytest.fixture(scope="module")
+def tri_table():
+    """Three ontologies ``a``, ``b``, ``c``, each ``Top > Mid > Leaf`` plus
+    ``Top > Other``: enough to key three graphs that one request visits
+    in turn (exact key, then overlap 2, then overlap 1)."""
+    ontologies = []
+    for name in "abc":
+        ontology = Ontology(uri=f"{TRI}/{name}", version="1")
+        ontology.concept(t(name, "Top"))
+        ontology.concept(t(name, "Mid"), parents=(t(name, "Top"),))
+        ontology.concept(t(name, "Leaf"), parents=(t(name, "Mid"),))
+        ontology.concept(t(name, "Other"), parents=(t(name, "Top"),))
+        ontology.validate()
+        ontologies.append(ontology)
+    return CodeTable(OntologyRegistry(ontologies))
+
+
+def _tri_request() -> ServiceRequest:
+    """Inputs ``a``/``b``/``c`` leaves, output the ``a`` leaf: graphs keyed
+    ``{a, b, c}``, ``{a, b}`` and ``{a}`` are visited in that order."""
+    requested = Capability.build(
+        "urn:x:cap:Want",
+        "Want",
+        inputs=[t("a", "Leaf"), t("b", "Leaf"), t("c", "Leaf")],
+        outputs=[t("a", "Leaf")],
+    )
+    return ServiceRequest(uri="urn:x:req:want", capabilities=(requested,))
+
+
+def _tri_service(ontologies: str, output: str) -> ServiceProfile:
+    """One capability taking the leaves of ``ontologies`` and giving the
+    ``a`` concept ``output``; its graph is keyed by ``ontologies``."""
+    capability = Capability.build(
+        f"urn:x:cap:{ontologies}",
+        ontologies,
+        inputs=[t(name, "Leaf") for name in ontologies],
+        outputs=[t("a", output)],
+    )
+    return ServiceProfile(uri=f"urn:x:svc:{ontologies}", name=ontologies, provided=(capability,))
+
+
+class TestOneScoringPass:
+    """``SemanticDirectory`` scores the candidates of every graph in one
+    pass, records the hits the paper's per-graph greedy search records,
+    and keeps the graphs visited up to the first perfect hit."""
+
+    @staticmethod
+    def _chain(media_table, mode):
+        """A directory over one graph ``Generic -> Digital -> Video``, each
+        vertex more specific than its parent."""
+        directory = SemanticDirectory(media_table, query_mode=mode)
+        for name, given, gives in (
+            ("Generic", "Resource", "Stream"),
+            ("Digital", "DigitalResource", "Stream"),
+            ("Video", "VideoResource", "VideoStream"),
+        ):
+            capability = Capability.build(
+                f"urn:x:cap:{name}", name, inputs=[r(given)], outputs=[r(gives)]
+            )
+            directory.publish(
+                ServiceProfile(uri=f"urn:x:svc:{name}", name=name, provided=(capability,))
+            )
+        (graph,) = directory.graphs().values()
+        assert [root.representative.name for root in graph.roots()] == ["Generic"]
+        assert [leaf.representative.name for leaf in graph.leaves()] == ["Video"]
+        return directory
+
+    @staticmethod
+    def _video() -> ServiceRequest:
+        requested = Capability.build(
+            "urn:x:cap:Video", "Video", inputs=[r("VideoResource")], outputs=[r("VideoStream")]
+        )
+        return ServiceRequest(uri="urn:x:req:video", capabilities=(requested,))
+
+    @pytest.mark.parametrize(
+        "mode, expected",
+        [
+            (QueryMode.GREEDY, [("Video", 0), ("Generic", 3)]),
+            (QueryMode.EXHAUSTIVE, [("Video", 0), ("Digital", 2), ("Generic", 3)]),
+        ],
+    )
+    def test_greedy_reports_matched_root_and_descent_end(self, media_table, mode, expected):
+        """Greedy: the root matches at distance 3 and its descent ends on
+        the perfect leaf; both are hits, the vertex passed through is not.
+        Exhaustive: every vertex is."""
+        directory = self._chain(media_table, mode)
+        assert _rows(directory.query(self._video())) == [
+            (f"urn:x:svc:{name}", f"urn:x:cap:{name}", distance) for name, distance in expected
+        ]
+
+    def test_descent_runs_no_match_on_children_outside_the_candidates(self, media_table):
+        """A ``Stream`` from a ``VideoResource``: the root matches and
+        descends to ``Digital``; ``Video`` cannot match, is no candidate,
+        and costs no semantic match."""
+        directory = self._chain(media_table, QueryMode.GREEDY)
+        requested = Capability.build(
+            "urn:x:cap:Any", "Any", inputs=[r("VideoResource")], outputs=[r("Stream")]
+        )
+        before = directory.stats.capability_matches
+        rows = directory.query(ServiceRequest(uri="urn:x:req:any", capabilities=(requested,)))
+        assert _rows(rows) == [
+            ("urn:x:svc:Digital", "urn:x:cap:Digital", 1),
+            ("urn:x:svc:Generic", "urn:x:cap:Generic", 2),
+        ]
+        assert directory.stats.capability_matches - before == 2
+
+    @staticmethod
+    def _tri_directory(tri_table, mode, outputs):
+        """Services keyed ``{a}``, ``{a, b}``, ``{a, b, c}`` published in
+        that order, the reverse of the request's visit order."""
+        directory = SemanticDirectory(tri_table, query_mode=mode)
+        for ontologies in ("a", "ab", "abc"):
+            directory.publish(_tri_service(ontologies, outputs[ontologies]))
+        assert directory.graph_count == 3
+        return directory
+
+    def test_perfect_match_in_second_graph_keeps_first_drops_third(self, tri_table):
+        outputs = {"abc": "Mid", "ab": "Leaf", "a": "Leaf"}
+        greedy = self._tri_directory(tri_table, QueryMode.GREEDY, outputs)
+        assert _rows(greedy.query(_tri_request())) == [
+            ("urn:x:svc:ab", "urn:x:cap:ab", 0),
+            ("urn:x:svc:abc", "urn:x:cap:abc", 1),
+        ]
+        exhaustive = self._tri_directory(tri_table, QueryMode.EXHAUSTIVE, outputs)
+        assert _rows(exhaustive.query(_tri_request())) == [
+            ("urn:x:svc:a", "urn:x:cap:a", 0),
+            ("urn:x:svc:ab", "urn:x:cap:ab", 0),
+            ("urn:x:svc:abc", "urn:x:cap:abc", 1),
+        ]
+
+    def test_descend_span_counts_every_graph_scored(self, tri_table):
+        """``graphs`` counts the graphs holding candidates, all scored in
+        the one pass, including the one whose hits the cutoff drops."""
+        from repro.obs import Observability, RingBufferSink
+
+        outputs = {"abc": "Mid", "ab": "Leaf", "a": "Leaf"}
+        directory = self._tri_directory(tri_table, QueryMode.GREEDY, outputs)
+        sink = RingBufferSink()
+        directory.obs = Observability(sinks=[sink])
+        directory.query(_tri_request())
+        (span,) = [span for span in sink.spans if span.name == "dag.descend"]
+        assert (span.attrs["candidates"], span.attrs["graphs"], span.attrs["hits"]) == (3, 3, 2)
+
+    def test_perfect_match_in_first_graph_drops_the_rest(self, tri_table):
+        outputs = {"abc": "Leaf", "ab": "Mid", "a": "Leaf"}
+        greedy = self._tri_directory(tri_table, QueryMode.GREEDY, outputs)
+        assert _rows(greedy.query(_tri_request())) == [("urn:x:svc:abc", "urn:x:cap:abc", 0)]
+
+    #: Input ontology sets of the perfect substitutes, one per graph key
+    #: (the ``a`` output puts ``a`` in every key).
+    SUBSETS = ("a", "ab", "ac", "abc", "b", "c", "bc")
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_rows_equal_per_graph_oracle_with_edges_and_perfects(self, data, tri_table):
+        """Perfect substitutes in two to four graphs, a more generic
+        capability above some of them (a graph edge), and random
+        capabilities: in both modes, through the concept index and
+        through the foreign-code fallback, the rows equal those of
+        :meth:`CapabilityDag.query` run graph by graph in visit order
+        (``_per_graph_rows``)."""
+        pool = [t(name, level) for name in "abc" for level in (*LEVELS, "Other")]
+
+        def raised(concept: str) -> str:
+            ontology, level = concept.rsplit("/", 1)[-1].split("#")
+            return t(ontology, LEVELS[max(0, LEVELS.index(level) - 1)])
+
+        extra = data.draw(st.lists(st.sampled_from(pool), max_size=2), label="extra")
+        output = t("a", data.draw(st.sampled_from(LEVELS[1:]), label="output"))
+        properties = data.draw(
+            st.sampled_from([[], [t("c", "Leaf")], [t("b", "Mid")]]), label="properties"
+        )
+        requested = Capability.build(
+            "urn:x:cap:R",
+            "R",
+            inputs=[t("a", "Leaf"), t("b", "Leaf"), t("c", "Leaf"), *extra],
+            outputs=[output],
+            properties=properties,
+        )
+        keyed = {"a"} | {concept.rsplit("/", 1)[-1][0] for concept in properties}
+        subsets = data.draw(
+            st.lists(
+                st.sampled_from(self.SUBSETS),
+                min_size=2,
+                max_size=4,
+                unique_by=lambda subset: frozenset(subset) | keyed,
+            ),
+            label="subsets",
+        )
+        provided = []
+        for number, subset in enumerate(subsets):
+            inputs = [t(name, "Leaf") for name in subset]
+            provided.append(
+                Capability.build(
+                    f"urn:x:cap:P{number}",
+                    f"P{number}",
+                    inputs=inputs,
+                    outputs=[output],
+                    properties=properties,
+                )
+            )
+            if number == 0 or data.draw(st.booleans(), label=f"generic{number}"):
+                provided.append(
+                    Capability.build(
+                        f"urn:x:cap:G{number}",
+                        f"G{number}",
+                        inputs=[raised(concept) for concept in inputs],
+                        outputs=[raised(output)],
+                        properties=[raised(concept) for concept in properties],
+                    )
+                )
+        concepts = st.lists(st.sampled_from(pool), max_size=2)
+        for number in range(data.draw(st.integers(0, 6), label="random")):
+            provided.append(
+                Capability.build(
+                    f"urn:x:cap:X{number}",
+                    f"X{number}",
+                    inputs=data.draw(concepts),
+                    outputs=data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=2)),
+                    properties=data.draw(concepts),
+                )
+            )
+        order = data.draw(st.permutations(provided), label="order")
+        request = ServiceRequest(uri="urn:x:req:R", capabilities=(requested,))
+        stand_in = dataclasses.replace(tri_table.code(t("a", "Top")), uri=FOREIGN)
+        for mode in QueryMode:
+            directory = SemanticDirectory(tri_table, query_mode=mode)
+            for capability in order:
+                directory.publish(
+                    ServiceProfile(
+                        uri=f"urn:x:svc:{capability.name}",
+                        name=capability.name,
+                        provided=(capability,),
+                    )
+                )
+            graphs = directory.graphs().values()
+            assert any(node.children for graph in graphs for node in graph.nodes())
+            perfect_graphs = {
+                node.graph()
+                for graph in graphs
+                for node in graph.nodes()
+                for entry in node.entries
+                if entry.capability.name.startswith("P")
+            }
+            assert len(perfect_graphs) == len(subsets) >= 2
+            assert _request_rows(directory.query(request)) == _per_graph_rows(
+                directory, request, mode, shared_only=False
+            )
+            assert _request_rows(directory.query(request, {FOREIGN: stand_in})) == (
+                _per_graph_rows(directory, request, mode, shared_only=True)
+            )
 
 
 class TestEngineCacheCoherence:

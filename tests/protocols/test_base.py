@@ -175,6 +175,23 @@ class TestQueryFlow:
         _latency, results = client.responses[query_id]
         assert len(results) == 1
 
+    def test_rows_of_one_service_at_equal_distance_ranked_by_capability(self):
+        """Rows tied on distance and service come out by capability, not
+        in the set-iteration order of the de-duplicated rows (which
+        follows ``PYTHONHASHSEED``)."""
+        sim, _network, directories, clients = mesh()
+        capabilities = [f"cap-{letter}" for letter in "fbdaec"]
+        directories[0].local_query = lambda parsed: [
+            ("service-alpha", capability, 1) for capability in capabilities
+        ] + [("service-beta", "cap-z", 0)]
+        client = next(iter(clients.values()))
+        query_id = client.query("anything")
+        sim.run(until=sim.now + 3.0)
+        _latency, results = client.responses[query_id]
+        assert list(results) == [("service-beta", "cap-z", 0)] + [
+            ("service-alpha", capability, 1) for capability in sorted(capabilities)
+        ]
+
 
 class TestClientWithoutDirectory:
     def test_publish_fails_gracefully(self):
